@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .balls import RootedBall, ball_census, canonical_code, decode_code, extract_ball
+from .balls import RootedBall, canonical_code, decode_code, extract_ball
 from .coloring import color_edges, greedy_square_coloring, random_b_labels
 from .decomposer import Partition, absorb_small_parts, decompose, splitting_diagnostics, verify_partition
 from .families import FamilySpec, generate, sequence
@@ -22,7 +22,7 @@ from .stats import StatVector, d_s, mixture, sparse_density, stat_vector
 
 __all__ = [
     "__version__",
-    "RootedBall", "ball_census", "canonical_code", "decode_code", "extract_ball",
+    "RootedBall", "canonical_code", "decode_code", "extract_ball",
     "color_edges", "greedy_square_coloring", "random_b_labels",
     "Partition", "absorb_small_parts", "decompose", "splitting_diagnostics", "verify_partition",
     "FamilySpec", "generate", "sequence",

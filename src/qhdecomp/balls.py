@@ -145,26 +145,6 @@ def _ball_from_members(g, members, r, layer, labels, label_width, edge_colors):
     )
 
 
-def ball_census(
-    g: Graph,
-    r: int,
-    labels=None,
-    label_width: int = 0,
-    edge_colors=None,
-) -> dict[bytes, int]:
-    """Count, for each occurring code, the vertices whose r-ball has it.
-
-    Per-vertex code computations are independent and the merge is a
-    commutative count sum, so the census can be sharded over vertices.
-    """
-    counts: Counter[bytes] = Counter()
-    cache: dict = {}
-    for x in range(g.n):
-        codes = codes_at_radii(g, x, (r,), labels, label_width, edge_colors, cache)
-        counts[codes[r]] += 1
-    return dict(counts)
-
-
 def canonical_code(ball: RootedBall) -> bytes:
     g = ball.graph
     n = g.n
@@ -172,13 +152,7 @@ def canonical_code(ball: RootedBall) -> bytes:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
-    m = g.edge_count()
-    order = None
-    if m == n - 1:
-        order = _canonical_order_tree(ball)
-    if order is None:
-        order = _canonical_order_general(ball)
-    return _serialize(ball, order)
+    return _serialize(ball, _canonical_order(ball))
 
 
 def _raw_key(ball: RootedBall):
@@ -192,62 +166,14 @@ def _raw_key(ball: RootedBall):
     )
 
 
-# --- tree canonicalization (AHU) -------------------------------------------
-
-def _canonical_order_tree(ball: RootedBall) -> list[int] | None:
-    """Canonical order for tree balls, or None when disconnected."""
-    g = ball.graph
-    n = g.n
-    labels = ball.labels
-    colors = ball.edge_colors
-    parent = [-1] * n
-    bfs = [0]
-    seen = [False] * n
-    seen[0] = True
-    for v in bfs:
-        for w in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                bfs.append(w)
-    if len(bfs) < n:
-        return None
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in bfs[1:]:
-        children[parent[v]].append(v)
-
-    def ecol(u, v):
-        if colors is None:
-            return 0
-        return colors[(min(u, v), max(u, v))]
-
-    form: list[tuple] = [()] * n
-    for v in reversed(bfs):
-        kids = sorted(
-            ((ecol(v, c), form[c], c) for c in children[v]),
-            key=lambda t: (t[0], t[1]),
-        )
-        children[v] = [c for _, _, c in kids]
-        own = labels[v] if labels is not None else 0
-        form[v] = (own, tuple((ec, f) for ec, f, _ in kids))
-
-    order = []
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
-
-
-# --- general canonicalization ------------------------------------------------
+# --- canonicalization -------------------------------------------------------
 #
 # Pendant trees are stripped and folded into attachment-vertex labels via
 # their AHU forms, so backtracking only ever runs on the 2-core (plus the
-# root and its path to the core).  Near-tree balls, the common case for
-# sparse graphs, then cost little more than the pure tree path.
+# root and its path to the core).  A tree ball strips down to the root and
+# needs no search at all.
 
-def _canonical_order_general(ball: RootedBall) -> list[int]:
+def _canonical_order(ball: RootedBall) -> list[int]:
     g = ball.graph
     n = g.n
     nbrs = g.adjacency
@@ -263,69 +189,52 @@ def _canonical_order_general(ball: RootedBall) -> list[int]:
 
     dist = [n + 1] * n
     dist[0] = 0
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in nbrs[v]:
-            if not seen[w]:
-                seen[w] = True
-                dist[w] = dist[v] + 1
-                queue.append(w)
-
-    # strip pendant vertices (root protected); removal order is
-    # children-before-parents, so AHU forms can be filled in one pass
-    deg = [len(a) for a in nbrs]
-    removed = [False] * n
-    stack = [v for v in range(1, n) if deg[v] == 1]
-    removal_order: list[int] = []
     parent = [-1] * n
-    while stack:
-        v = stack.pop()
-        if removed[v] or deg[v] != 1 or v == 0:
-            continue
-        removed[v] = True
-        removal_order.append(v)
-        for u in nbrs[v]:
-            if not removed[u]:
-                parent[v] = u
-                deg[u] -= 1
-                if deg[u] == 1 and u != 0:
-                    stack.append(u)
+    bfs = [0]
+    for v in bfs:
+        for w in nbrs[v]:
+            if dist[w] > n:
+                dist[w] = dist[v] + 1
+                parent[w] = v
+                bfs.append(w)
+    if len(bfs) < n:
+        # unreachable vertices have no parent, so they stay in the core
+        bfs += [v for v in range(n) if dist[v] > n]
 
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in removal_order:
-        children[parent[v]].append(v)
-
+    # A pendant vertex lies farther from the root than its attachment
+    # vertex, so in reverse BFS order its own pendant children are already
+    # stripped when it is reached.  hang[v] collects (edge color, form,
+    # child) for the stripped children of v; the root is never stripped.
+    # Sorting breaks ties by child id only between equal forms, i.e.
+    # isomorphic subtrees, so the tie-break never reaches the code bytes.
+    hang: list[list[tuple]] = [[] for _ in range(n)]
     form: list[tuple] = [()] * n
-    for v in removal_order:
-        kids = sorted(
-            ((ecol(v, c), form[c], c) for c in children[v]),
-            key=lambda t: (t[0], t[1]),
+    stripped = [False] * n
+    for v in reversed(bfs):
+        kids = hang[v]
+        kids.sort()
+        form[v] = (
+            labels[v] if labels is not None else 0,
+            tuple((ec, f) for ec, f, _ in kids),
         )
-        children[v] = [c for _, _, c in kids]
-        own = labels[v] if labels is not None else 0
-        form[v] = (own, tuple((ec, f) for ec, f, _ in kids))
+        p = parent[v]
+        if p >= 0 and len(nbrs[v]) - len(kids) == 1:
+            hang[p].append((ecol(p, v), form[v], v))
+            stripped[v] = True
 
-    core = [v for v in range(n) if not removed[v]]
-    for v in core:
-        if children[v]:
-            children[v].sort(key=lambda c: (ecol(v, c), form[c]))
+    core = [v for v in range(n) if not stripped[v]]
+    if len(core) == 1:
+        return _expand_pendants(core, hang)
     core_pos = {v: i for i, v in enumerate(core)}
     k = len(core)
     core_nbrs: list[list[int]] = [[] for _ in range(k)]
     for v in core:
         for w in nbrs[v]:
-            if not removed[w]:
+            if not stripped[w]:
                 core_nbrs[core_pos[v]].append(core_pos[w])
 
-    def syn_label(v):
-        own = labels[v] if labels is not None else 0
-        hang = tuple(sorted((ecol(v, c), form[c]) for c in children[v]))
-        return (own, hang)
-
-    init = [(dist[v], syn_label(v)) for v in core]
+    # a core vertex's form is its label plus its sorted pendant forms
+    init = [(dist[v], form[v]) for v in core]
     ranks = {key: i for i, key in enumerate(sorted(set(init)))}
     coloring = [ranks[init[i]] for i in range(k)]
     init_rank = tuple(coloring)
@@ -427,16 +336,19 @@ def _canonical_order_general(ball: RootedBall) -> list[int]:
             search(individualize(cols, v), prefix + (v,))
 
     search(refine(coloring), ())
-    core_order = best[1]
+    return _expand_pendants([core[i] for i in best[1]], hang)
 
-    # expand pendant trees after the core, in canonical attachment order
-    order = [core[i] for i in core_order]
-    for i in core_order:
-        stack2 = list(reversed(children[core[i]]))
-        while stack2:
-            v = stack2.pop()
+
+def _expand_pendants(heads: list[int], hang) -> list[int]:
+    """``heads`` followed by their pendant trees, depth-first, in canonical
+    attachment order."""
+    order = list(heads)
+    for h in heads:
+        stack = [c for _, _, c in reversed(hang[h])]
+        while stack:
+            v = stack.pop()
             order.append(v)
-            stack2.extend(reversed(children[v]))
+            stack.extend(c for _, _, c in reversed(hang[v]))
     return order
 
 

@@ -9,20 +9,11 @@ violation still exits 0.  Domain errors exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from . import balls, coloring, decomposer as dec, families, graph, quasihom, reports, stats
+from . import coloring, decomposer as dec, families, graph, quasihom, reports, stats
 from .errors import QhError
-
-
-def _default_threads() -> int:
-    env = os.environ.get("QUASIHOM_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _frac(text: str) -> Fraction:
@@ -38,9 +29,7 @@ def _read_graph(path: str) -> graph.Graph:
 
 
 def _manifest(args, subcommand: str) -> reports.ManifestWriter:
-    mw = reports.ManifestWriter(subcommand, args.raw_argv)
-    mw.record(threads=args.threads)
-    return mw
+    return reports.ManifestWriter(subcommand, args.raw_argv)
 
 
 def _finish(mw: reports.ManifestWriter, args, primary_out: str | None):
@@ -55,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Local ball statistics, quasihomogeneity tests, and "
         "partition heuristics for bounded-degree graphs.",
     )
-    ap.add_argument("--threads", type=int, default=_default_threads(),
-                    help="bound on worker parallelism (env QUASIHOM_THREADS)")
     ap.add_argument("--manifest", help="explicit manifest path")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -208,7 +195,7 @@ def _cmd_stats(args) -> int:
     reports.write_json(args.out, reports.stat_vector_to_json(s))
     mw.add_output(args.out)
     if args.dump_atlas:
-        census = balls.ball_census(g, args.radius, edge_colors=edge_colors)
+        census = {code: int(freq * g.n) for code, freq in s.at(args.radius).items()}
         reports.write_json(args.dump_atlas, reports.atlas_to_json(census, args.radius))
         mw.add_output(args.dump_atlas)
     _finish(mw, args, args.out)
@@ -376,26 +363,12 @@ def _cmd_convergence(args) -> int:
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
     mw.add_input(args.specs)
     mw.record(radius=args.radius, count=len(specs))
-    graphs = [families.generate(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        vectors = list(pool.map(lambda g: stats.stat_vector(g, args.radius), graphs))
-    from .families import SequenceReport
-    from .stats import d_s
-
-    pairwise = {}
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            pairwise[(i, j)] = d_s(vectors[i], vectors[j])[0]
-    consecutive = [pairwise[(i, i + 1)] for i in range(len(vectors) - 1)]
-    trend = all(b <= a for a, b in zip(consecutive, consecutive[1:]))
-    rep = SequenceReport(
-        args.radius, [g.n for g in graphs], vectors, pairwise,
-        Fraction(1, 2 ** args.radius), trend, consecutive,
-    )
+    rep = families.sequence(specs, args.radius)
     reports.write_json(args.out, reports.convergence_to_json(rep))
     mw.add_output(args.out)
     _finish(mw, args, args.out)
-    print(f"wrote {args.out}: {len(specs)} specs, trend nonincreasing: {trend}")
+    print(f"wrote {args.out}: {len(specs)} specs, "
+          f"trend nonincreasing: {rep.consecutive_nonincreasing}")
     return 0
 
 

@@ -169,22 +169,6 @@ def edit_distance(g: Graph, h: Graph) -> Fraction:
     return Fraction(diff // 2, g.n)
 
 
-def bfs_distances(g: Graph, source: int, cutoff: int | None = None) -> dict[int, int]:
-    """Distances from ``source`` up to ``cutoff`` (inclusive); whole component if None."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        if cutoff is not None and dv >= cutoff:
-            continue
-        for w in g.adjacency[v]:
-            if w not in dist:
-                dist[w] = dv + 1
-                queue.append(w)
-    return dist
-
-
 def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
     """Copy of ``g`` with the given edges removed (absent edges ignored)."""
     doomed = {(min(u, v), max(u, v)) for u, v in edges}

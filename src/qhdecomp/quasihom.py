@@ -215,7 +215,8 @@ def _seed_candidates(g: Graph, p: QuasihomParams, s_min: int, rng: Random):
         prefix = prefix + grp
         if len(prefix) >= s_min and len(prefix) < n:
             yield list(prefix)
-        comp = [v for v in range(n) if v not in set(prefix)]
+        placed = set(prefix)
+        comp = [v for v in range(n) if v not in placed]
         if len(comp) >= s_min:
             yield comp
 

@@ -1,17 +1,22 @@
+import hashlib
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from qhdecomp.balls import (
-    ball_census,
+    RootedBall,
     canonical_code,
     codes_at_radii,
     decode_code,
     extract_ball,
 )
-from qhdecomp.graph import relabel, validate
+from qhdecomp.coloring import color_edges, random_b_labels
+from qhdecomp.families import FamilySpec, generate
+from qhdecomp.graph import from_adjacency, relabel, validate
+from qhdecomp.stats import forget_colors, stat_vector
 
-from conftest import cycle, graphs, path, random_bounded_graph
+from conftest import cycle, graphs, path, random_bounded_graph, torus
 from oracles import rooted_isomorphic
 
 
@@ -44,12 +49,18 @@ def test_star_center_vs_leaf():
     assert center != leaf
 
 
+def _census(g, r):
+    """Vertex count per radius-r code."""
+    cache = {}
+    return Counter(codes_at_radii(g, x, (r,), cache=cache)[r] for x in range(g.n))
+
+
 def test_census_cycle():
-    assert list(ball_census(cycle(10), 1).values()) == [10]
+    assert list(_census(cycle(10), 1).values()) == [10]
 
 
 def test_census_path5():
-    assert sorted(ball_census(path(5), 1).values()) == [2, 3]
+    assert sorted(_census(path(5), 1).values()) == [2, 3]
 
 
 def test_census_disjoint_cycles():
@@ -59,12 +70,12 @@ def test_census_disjoint_cycles():
         10,
         2,
     )
-    assert list(ball_census(g, 1).values()) == [10]
+    assert list(_census(g, 1).values()) == [10]
 
 
 @given(graphs(max_n=16, max_d=4), st.integers(min_value=0, max_value=3))
 def test_census_counts_sum_to_n(g, r):
-    assert sum(ball_census(g, r).values()) == g.n
+    assert sum(_census(g, r).values()) == g.n
 
 
 @settings(max_examples=60)
@@ -92,7 +103,7 @@ def test_census_relabel_invariant_multiset(g):
     rng = random.Random(g.n * 1000 + g.edge_count())
     perm = list(range(g.n))
     rng.shuffle(perm)
-    assert ball_census(g, 2) == ball_census(relabel(g, perm), 2)
+    assert _census(g, 2) == _census(relabel(g, perm), 2)
 
 
 @given(graphs(max_n=16, max_d=4))
@@ -126,6 +137,15 @@ def test_codes_at_radii_matches_single_extraction():
         assert multi[r] == canonical_code(extract_ball(g, 0, r))
 
 
+def test_disconnected_ball_codes_are_canonical():
+    # a decoded code need not be connected: root 0 plus an edge 1-2 that
+    # carries one label-1 end; swapping the edge's ends is an isomorphism
+    g = from_adjacency([[], [2], [1]], 1)
+    a = canonical_code(RootedBall(g, 1, (0, 0, 1), 1))
+    b = canonical_code(RootedBall(g, 1, (0, 1, 0), 1))
+    assert a == b
+
+
 def test_labeled_codes_respect_truncation():
     g = path(3)
     full = [0b1011, 0b0111, 0b1100]
@@ -147,3 +167,53 @@ def test_colored_ball_codes_distinguish_colors():
     c = canonical_code(extract_ball(g, 1, 1, edge_colors=c3))
     assert a == b
     assert a != c
+
+
+# sha256 over the code bytes of the corpus below.  Persisted StatVector and
+# atlas JSON carry these bytes, so any change to the canonical order or the
+# serialization layout shows up here.
+GOLDEN_CODES_SHA256 = "dc7940a3e64b4d181d6ae5cf9f033a0b1ea062b107de3afc52c0926892c20252"
+
+
+def _golden_corpus_digest():
+    h = hashlib.sha256()
+
+    def feed(code):
+        h.update(len(code).to_bytes(4, "little"))
+        h.update(code)
+
+    def per_vertex(g, radii, labels=None, width=0, colors=None):
+        cache = {}
+        for x in range(g.n):
+            codes = codes_at_radii(g, x, radii, labels, width, colors, cache)
+            for r in radii:
+                feed(codes[r])
+
+    rr = generate(FamilySpec("random_regular", (200, 3), seed=1))
+    per_vertex(rr, (0, 1, 2, 3, 4))
+    per_vertex(generate(FamilySpec("d_ary_tree", (3, 4))), (1, 2, 3))
+    per_vertex(path(12), (1, 2, 3))
+    per_vertex(torus(6, 7), (1, 2, 3))
+    for seed in range(4):
+        per_vertex(random_bounded_graph(40, 4, random.Random(seed)), (1, 2, 3))
+
+    small = generate(FamilySpec("random_regular", (60, 3), seed=2))
+    _, ec = color_edges(small)
+    for width in (1, 3):
+        bl = random_b_labels(small, width, seed=width)
+        per_vertex(small, (1, 2, 3), bl.values, width)
+        per_vertex(small, (1, 2), bl.values, width, ec.colors)
+    per_vertex(small, (1, 2, 3), colors=ec.colors)
+    tl = random_b_labels(torus(5, 5), 1, seed=0)
+    per_vertex(torus(5, 5), (1, 2), tl.values, 1)
+
+    # decoded balls are indexed in canonical order, not BFS order
+    plain = forget_colors(stat_vector(small, 3, edge_colors=ec.colors))
+    for r in range(1, 4):
+        for code in plain.at(r):
+            feed(code)
+    return h.hexdigest()
+
+
+def test_golden_code_bytes():
+    assert _golden_corpus_digest() == GOLDEN_CODES_SHA256

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qhdecomp
 from qhdecomp import reports
 from qhdecomp.cli import main
 from qhdecomp.families import FamilySpec, generate
@@ -11,11 +13,14 @@ from qhdecomp.graph import from_edge_list, to_edge_list
 
 
 def run_cli(args, cwd):
+    # an absolute path, so the child imports this package from any cwd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
     return subprocess.run(
         [sys.executable, "-m", "qhdecomp.cli", *args],
         cwd=cwd,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
 
 
@@ -166,6 +171,16 @@ def test_convergence_report(workdir):
                  "--out", str(out)]) == 0
     doc = reports.validate_document(json.loads(out.read_text()))
     assert all(p["value"]["num"] == 0 for p in doc["pairwise"])
+    # a sequence needs at least two specs
+    specs.write_text(json.dumps({
+        "format_version": 1,
+        "kind": "family_specs",
+        "specs": [{"kind": "grid_torus", "params": [6, 6]}],
+    }))
+    lone = workdir / "lone.json"
+    assert main(["convergence", "--specs", str(specs), "--radius", "2",
+                 "--out", str(lone)]) == 1
+    assert not lone.exists()
 
 
 def test_manifest_written_and_replays(workdir):
@@ -191,10 +206,3 @@ def test_exit_codes(workdir):
     # usage error: unknown subcommand (argparse exits 2)
     proc = run_cli(["definitely-not-a-command"], cwd=workdir)
     assert proc.returncode == 2
-
-
-def test_threads_env_override(workdir, monkeypatch):
-    monkeypatch.setenv("QUASIHOM_THREADS", "2")
-    from qhdecomp.cli import _default_threads
-
-    assert _default_threads() == 2

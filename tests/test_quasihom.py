@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qhdecomp.quasihom import (
     NO_VIOLATION,
     VIOLATED,
     QuasihomParams,
+    _seed_candidates,
     check_exact,
     falsify_heuristic,
     verify_certificate,
@@ -193,3 +195,16 @@ def test_ds_to_subset_matches_direct_census():
     sub, _ = spanned_subgraph(g, subset)
     value, _ = d_s(stat_vector(g, 2), stat_vector(sub, 2))
     assert value > 0
+
+
+def test_seed_candidate_stream_pinned():
+    # the annealing budget is spent after these seeds, so their order and
+    # content are part of every heuristic verdict
+    g = generate(FamilySpec("path", (60,)))
+    p = QuasihomParams(Fraction(1, 10), Fraction(1, 4), Fraction(1, 5), 2)
+    stream = [list(c) for c in _seed_candidates(g, p, 3, random.Random(0))]
+    assert len(stream) == 28
+    assert stream[-2] == [0, 1, 58, 59]
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == (
+        "e977e9b09880420c47c5f7da52d76337aa6ce6398061b12fc5375722f16f66ce"
+    )
