@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import coloring, decomposer as dec, families, graph, quasihom, reports, stats
-from .errors import QhError
+from .errors import FormatError, QhError
 
 
 def _frac(text: str) -> Fraction:
@@ -21,6 +21,23 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
 
 
 def _read_graph(path: str) -> graph.Graph:
@@ -57,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("stats", help="StatVector of a graph")
     s.add_argument("--input", required=True)
-    s.add_argument("--radius", type=int, required=True)
+    s.add_argument("--radius", type=_positive, required=True)
     s.add_argument("--colors", help="edge_coloring JSON to take edge colors from")
     s.add_argument("--dump-atlas", dest="dump_atlas",
                    help="also write a code -> witness table at --radius")
@@ -89,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     cq.add_argument("--epsilon", type=_frac, required=True)
     cq.add_argument("--lambda", dest="lam", type=_frac, required=True)
     cq.add_argument("--delta", type=_frac, required=True)
-    cq.add_argument("--radius", type=int, required=True)
+    cq.add_argument("--radius", type=_positive, required=True)
     cq.add_argument("--exact", action="store_true")
-    cq.add_argument("--budget", type=int, default=10000)
+    cq.add_argument("--budget", type=_nonnegative, default=10000)
     cq.add_argument("--seed", type=int, default=0)
     cq.add_argument("--out")
 
@@ -99,16 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--input", required=True)
     dc.add_argument("--delta", type=_frac, required=True)
     dc.add_argument("--lambda", dest="lam", type=_frac, required=True)
-    dc.add_argument("--kmax", type=int, required=True)
-    dc.add_argument("--signature-radius", dest="signature_radius", type=int, required=True)
+    dc.add_argument("--kmax", type=_positive, required=True)
+    dc.add_argument("--signature-radius", dest="signature_radius", type=_nonnegative,
+                    required=True)
     dc.add_argument("--seed", type=int, default=0)
     dc.add_argument("--threshold-mode", dest="threshold_mode",
                     choices=[dec.THRESHOLD_THEOREM, dec.THRESHOLD_PROOF],
                     default=dec.THRESHOLD_THEOREM)
     dc.add_argument("--epsilon", type=_frac,
                     help="verify the result and embed the verdict (needs --radius)")
-    dc.add_argument("--radius", type=int)
-    dc.add_argument("--budget", type=int, default=2000)
+    dc.add_argument("--radius", type=_positive)
+    dc.add_argument("--budget", type=_nonnegative, default=2000)
     dc.add_argument("--out", required=True)
 
     vp = sub.add_parser("verify-partition", help="check the decomposition conditions")
@@ -117,25 +135,25 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--delta", type=_frac, required=True)
     vp.add_argument("--lambda", dest="lam", type=_frac, required=True)
     vp.add_argument("--epsilon", type=_frac, required=True)
-    vp.add_argument("--radius", type=int, required=True)
+    vp.add_argument("--radius", type=_positive, required=True)
     vp.add_argument("--mode", choices=[dec.MODE_EXACT, dec.MODE_HEURISTIC],
                     default=dec.MODE_HEURISTIC)
     vp.add_argument("--threshold-mode", dest="threshold_mode",
                     choices=[dec.THRESHOLD_THEOREM, dec.THRESHOLD_PROOF],
                     default=dec.THRESHOLD_THEOREM)
-    vp.add_argument("--budget", type=int, default=2000)
+    vp.add_argument("--budget", type=_nonnegative, default=2000)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out")
 
     sp = sub.add_parser("split-diagnostics", help="splitting quantities for a sequence")
     sp.add_argument("--inputs", nargs="+", required=True)
     sp.add_argument("--partitions", nargs="+", required=True)
-    sp.add_argument("--radius", type=int, required=True)
+    sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--out", required=True)
 
     cv = sub.add_parser("convergence", help="pairwise d_s table for a spec sequence")
     cv.add_argument("--specs", required=True, help="family_specs JSON file")
-    cv.add_argument("--radius", type=int, required=True)
+    cv.add_argument("--radius", type=_positive, required=True)
     cv.add_argument("--out", required=True)
     return ap
 
@@ -163,8 +181,12 @@ def _cmd_generate(args) -> int:
     mw = _manifest(args, "generate")
     if args.spec:
         doc = reports.read_json(args.spec)
-        reports.validate_document(doc) if doc.get("kind") == "family_specs" else None
-        spec = families.FamilySpec.from_json(doc["specs"][0] if "specs" in doc else doc)
+        if isinstance(doc, dict) and doc.get("kind") == "family_specs":
+            specs = reports.validate_document(doc)["specs"]
+            if not specs:
+                raise FormatError(f"{args.spec} lists no spec")
+            doc = specs[0]
+        spec = families.FamilySpec.from_json(doc)
         mw.add_input(args.spec)
     else:
         if not args.kind:

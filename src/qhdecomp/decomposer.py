@@ -83,6 +83,8 @@ def decompose(
     threshold_mode: str = THRESHOLD_THEOREM,
 ) -> Partition:
     """Signature clustering followed by smoothing, deletion, absorption."""
+    if K_max < 1:
+        raise KMismatchError(f"K_max must be at least 1, got {K_max}")
     n = g.n
     if n == 0:
         return Partition(0, (), 0, ())
@@ -118,7 +120,15 @@ def _agglomerate(g, codes, classes, K_max):
 
     Each class carries the multiset of codes seen across its members'
     neighbors; total-variation distance between the normalized multisets
-    drives the merge order.  Ties break on smallest contained vertex id.
+    drives the merge order.  The pair with the least key
+    ``(tv, min of lower-index cluster, min of higher-index cluster)``
+    merges; the merged cluster keeps the lower index.  Clusters are
+    disjoint, so no two pairs share a key and the merge order does not
+    depend on scan order.
+
+    Cost for C classes: O(C^2) distance evaluations up front, one per pair,
+    then O(C) per merge, since only the merged cluster's row changes.  Each
+    merge still scans the O(C^2) cached keys for the least one.
     """
     clusters: list[list[int]] = []
     envs: list[dict[bytes, int]] = []
@@ -131,31 +141,38 @@ def _agglomerate(g, codes, classes, K_max):
                 env[cw] = env.get(cw, 0) + 1
         clusters.append(list(members))
         envs.append(env)
+    if len(clusters) <= K_max:
+        return clusters
+    totals = [sum(env.values()) for env in envs]
+    firsts = [min(members) for members in clusters]
 
-    def tv(i, j):
-        a, b = envs[i], envs[j]
-        ta, tb = sum(a.values()), sum(b.values())
+    def pair_key(i, j):
+        a, b, ta, tb = envs[i], envs[j], totals[i], totals[j]
         if ta == 0 or tb == 0:
-            return Fraction(1) if (ta or tb) else Fraction(0)
-        acc = Fraction(0)
-        for code in a.keys() | b.keys():
-            acc += abs(Fraction(a.get(code, 0), ta) - Fraction(b.get(code, 0), tb))
-        return acc / 2
+            tv = Fraction(1) if (ta or tb) else Fraction(0)
+        else:
+            # sum_c |a_c/ta - b_c/tb| / 2 over one common denominator
+            diff = sum(abs(a.get(c, 0) * tb - b.get(c, 0) * ta) for c in a.keys() | b.keys())
+            tv = Fraction(diff, 2 * ta * tb)
+        return (tv, firsts[i], firsts[j], i, j)
 
-    while len(clusters) > K_max:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                key = (tv(i, j), min(clusters[i]), min(clusters[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, i, j = best
+    live = list(range(len(clusters)))
+    keys = {(i, j): pair_key(i, j) for i in live for j in live if i < j}
+    while len(live) > K_max:
+        _, _, _, i, j = min(keys.values())
         clusters[i].extend(clusters[j])
         for code, cnt in envs[j].items():
             envs[i][code] = envs[i].get(code, 0) + cnt
-        del clusters[j]
-        del envs[j]
-    return clusters
+        totals[i] += totals[j]
+        firsts[i] = min(firsts[i], firsts[j])
+        live.remove(j)
+        del keys[(i, j)]
+        for k in live:
+            if k != i:
+                del keys[(min(k, j), max(k, j))]
+                pair = (min(k, i), max(k, i))
+                keys[pair] = pair_key(*pair)
+    return [clusters[k] for k in live]
 
 
 def _smooth(g: Graph, assignment: list[int]) -> int:

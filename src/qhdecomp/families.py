@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .errors import InfeasibleSpecError, RetryExhaustedError
+from .errors import FormatError, InfeasibleSpecError, RetryExhaustedError
 from .graph import Graph, from_adjacency, validate
 from .stats import StatVector, d_s, stat_vector
 
@@ -30,6 +30,15 @@ class FamilySpec:
     bridges: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        arity = _ARITY.get(self.kind)
+        if arity is None:
+            raise InfeasibleSpecError(f"unknown family kind {self.kind!r}")
+        if len(self.params) != arity:
+            raise InfeasibleSpecError(
+                f"{self.kind} takes {arity} params, got {len(self.params)}"
+            )
+
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
         if self.params:
@@ -44,12 +53,21 @@ class FamilySpec:
 
     @staticmethod
     def from_json(doc: dict) -> "FamilySpec":
+        if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
+            raise FormatError(f"family spec without a 'kind' string: {doc!r}")
+        if unknown := doc.keys() - {"kind", "params", "parts", "bridges", "seed"}:
+            raise FormatError(f"unknown family spec keys {sorted(unknown)}")
+        params, parts = doc.get("params", []), doc.get("parts", [])
+        bridges, seed = doc.get("bridges", 0), doc.get("seed", 0)
+        if not (isinstance(params, list) and isinstance(parts, list)
+                and all(isinstance(x, int) for x in [*params, bridges, seed])):
+            raise FormatError(f"malformed family spec {doc!r}")
         return FamilySpec(
             kind=doc["kind"],
-            params=tuple(doc.get("params", ())),
-            parts=tuple(FamilySpec.from_json(p) for p in doc.get("parts", ())),
-            bridges=doc.get("bridges", 0),
-            seed=doc.get("seed", 0),
+            params=tuple(params),
+            parts=tuple(FamilySpec.from_json(p) for p in parts),
+            bridges=bridges,
+            seed=seed,
         )
 
 
@@ -67,10 +85,7 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def generate_detailed(spec: FamilySpec) -> GeneratedGraph:
-    maker = _MAKERS.get(spec.kind)
-    if maker is None:
-        raise InfeasibleSpecError(f"unknown family kind {spec.kind!r}")
-    out = maker(spec)
+    out = _MAKERS[spec.kind](spec)
     g = out.graph
     for v in range(g.n):
         assert g.degree(v) <= g.degree_bound
@@ -216,6 +231,17 @@ _MAKERS = {
     "d_ary_tree": _d_ary_tree,
     "disjoint_union": _disjoint_union,
     "bridged_union": _bridged_union,
+}
+
+# number of params each kind takes; union kinds take parts instead
+_ARITY = {
+    "cycle": 1,
+    "path": 1,
+    "grid_torus": 2,
+    "random_regular": 2,
+    "d_ary_tree": 2,
+    "disjoint_union": 0,
+    "bridged_union": 0,
 }
 
 

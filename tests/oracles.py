@@ -3,12 +3,15 @@
 Nothing here touches the canonicalization or counting paths under test:
 isomorphism is decided by exhaustive backtracking over vertex bijections,
 and graph enumeration/deduplication relies on that backtracking only.
+``agglomerate`` is the plain merge loop that the partition engine's cached
+``_agglomerate`` must reproduce cluster for cluster.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 from qhdecomp.balls import RootedBall
 from qhdecomp.graph import Graph, from_adjacency
@@ -229,3 +232,51 @@ def _count_embeddings(pattern: Graph, host: Graph) -> int:
         if ok:
             count += 1
     return count
+
+
+def agglomerate(g, codes, classes, K_max):
+    """Merge signature classes, closest neighbor-code distributions first.
+
+    Each class carries the multiset of codes seen across its members'
+    neighbors; total-variation distance between the normalized multisets
+    drives the merge order.  Ties break on smallest contained vertex id.
+
+    Reference for ``decomposer._agglomerate``: every pairwise distance is
+    recomputed, in ``Fraction`` arithmetic per code, on each merge.
+    """
+    clusters: list[list[int]] = []
+    envs: list[dict[bytes, int]] = []
+    for code in sorted(classes):
+        members = classes[code]
+        env: dict[bytes, int] = {}
+        for v in members:
+            for w in g.adjacency[v]:
+                cw = codes[w]
+                env[cw] = env.get(cw, 0) + 1
+        clusters.append(list(members))
+        envs.append(env)
+
+    def tv(i, j):
+        a, b = envs[i], envs[j]
+        ta, tb = sum(a.values()), sum(b.values())
+        if ta == 0 or tb == 0:
+            return Fraction(1) if (ta or tb) else Fraction(0)
+        acc = Fraction(0)
+        for code in a.keys() | b.keys():
+            acc += abs(Fraction(a.get(code, 0), ta) - Fraction(b.get(code, 0), tb))
+        return acc / 2
+
+    while len(clusters) > K_max:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                key = (tv(i, j), min(clusters[i]), min(clusters[j]))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+        _, i, j = best
+        clusters[i].extend(clusters[j])
+        for code, cnt in envs[j].items():
+            envs[i][code] = envs[i].get(code, 0) + cnt
+        del clusters[j]
+        del envs[j]
+    return clusters

@@ -206,3 +206,33 @@ def test_exit_codes(workdir):
     # usage error: unknown subcommand (argparse exits 2)
     proc = run_cli(["definitely-not-a-command"], cwd=workdir)
     assert proc.returncode == 2
+
+
+# argv, expected exit code, a word the error message must name
+BAD_ARGV = {
+    "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1, "kind"),
+    "cycle_arity": (["generate", "--kind", "cycle", "--params", "3,4", "--out", "g.el"],
+                    1, "params"),
+    "radius_zero": (["stats", "--input", "c.el", "--radius", "0", "--out", "s.json"],
+                    2, "--radius"),
+    "negative_budget": (["check-quasihom", "--input", "c.el", "--epsilon", "1/10",
+                         "--lambda", "1/2", "--delta", "1/2", "--radius", "1",
+                         "--budget", "-5", "--out", "v.json"], 2, "--budget"),
+    "kmax_zero": (["decompose", "--input", "c.el", "--delta", "1/10", "--lambda", "3/10",
+                   "--kmax", "0", "--signature-radius", "1", "--out", "p.json"], 2, "--kmax"),
+    "negative_signature_radius": (["decompose", "--input", "c.el", "--delta", "1/10",
+                                   "--lambda", "3/10", "--kmax", "2",
+                                   "--signature-radius", "-1", "--out", "p.json"],
+                                  2, "--signature-radius"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGV))
+def test_bad_arguments_exit_cleanly(workdir, case):
+    argv, code, word = BAD_ARGV[case]
+    main(["generate", "--kind", "cycle", "--params", "8", "--out", str(workdir / "c.el")])
+    (workdir / "nokind.json").write_text(json.dumps({"params": [5]}))
+    proc = run_cli(argv, cwd=workdir)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and word in proc.stderr
+    assert not any((workdir / out).exists() for out in ("g.el", "s.json", "v.json", "p.json"))

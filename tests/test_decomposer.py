@@ -4,6 +4,8 @@ import pytest
 
 from qhdecomp.decomposer import (
     MODE_EXACT,
+    _agglomerate,
+    _vertex_codes,
     Partition,
     THRESHOLD_PROOF,
     THRESHOLD_THEOREM,
@@ -16,10 +18,11 @@ from qhdecomp.decomposer import (
 )
 from qhdecomp.errors import InconsistentPartitionError, KMismatchError
 from qhdecomp.families import FamilySpec, generate, generate_detailed
-from qhdecomp.graph import delete_edges
+from qhdecomp.graph import delete_edges, from_adjacency
 from qhdecomp.stats import d_s, stability_ds_bound, stat_vector
 
 from conftest import cycle, torus
+from oracles import agglomerate
 
 
 def _partition_for(g, assignment, K):
@@ -34,6 +37,43 @@ def test_decompose_separates_disjoint_cycles():
     assert p.K == 2 and not p.deleted_edges
     assert len({p.assignment[v] for v in range(4)}) == 1
     assert len({p.assignment[v] for v in range(4, 10)}) == 1
+
+
+def test_decompose_rejects_kmax_below_one():
+    with pytest.raises(KMismatchError):
+        decompose(cycle(6), Fraction(1, 10), Fraction(3, 10), 0, 1)
+
+
+def _agglomeration_cases():
+    for seed in range(3):
+        g = generate(FamilySpec(
+            "bridged_union",
+            parts=(FamilySpec("grid_torus", (4, 4)),
+                   FamilySpec("random_regular", (12, 3), seed=seed)),
+            bridges=1 + seed,
+            seed=seed,
+        ))
+        for M in (1, 2, 3):
+            yield f"bridged{seed}/M{M}", g, M
+    # cycles of different lengths: one class per cycle, every pair at TV 1
+    cycles = generate(FamilySpec(
+        "disjoint_union", parts=tuple(FamilySpec("cycle", (n,)) for n in range(3, 9))
+    ))
+    yield "cycles", cycles, 3
+    # isolated vertices form a class with no neighbor codes at all
+    path = [[1], [0, 2], [1, 3], [2]]
+    yield "isolated", from_adjacency(path + [[], [], []], 2), 1
+
+
+def test_agglomerate_matches_reference():
+    for name, g, M in _agglomeration_cases():
+        codes = _vertex_codes(g, M)
+        classes = {}
+        for v, code in enumerate(codes):
+            classes.setdefault(code, []).append(v)
+        for K_max in sorted({1, 2, 3, len(classes)}):
+            expected = agglomerate(g, codes, classes, K_max)
+            assert _agglomerate(g, codes, classes, K_max) == expected, (name, K_max)
 
 
 def test_decompose_torus_single_part():

@@ -1,6 +1,6 @@
 import pytest
 
-from qhdecomp.errors import InfeasibleSpecError
+from qhdecomp.errors import FormatError, InfeasibleSpecError
 from qhdecomp.families import FamilySpec, generate, generate_detailed, sequence
 from qhdecomp.graph import to_edge_list
 from qhdecomp.stats import d_s, stat_vector
@@ -76,6 +76,14 @@ def test_infeasible_specs():
         generate(FamilySpec("grid_torus", (2, 5)))
     with pytest.raises(InfeasibleSpecError):
         generate(FamilySpec("nonsense", (1,)))
+    with pytest.raises(InfeasibleSpecError):
+        FamilySpec("cycle", (3, 4))
+    with pytest.raises(InfeasibleSpecError):
+        FamilySpec("disjoint_union", (3,), parts=(FamilySpec("cycle", (3,)),))
+    for doc in ({"params": [5]}, [], {"kind": "cycle", "params": 5},
+                {"kind": "cycle", "params": [5], "bridge": 1}):
+        with pytest.raises(FormatError):
+            FamilySpec.from_json(doc)
 
 
 def test_torus_local_flatness():
