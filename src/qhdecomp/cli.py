@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     cq.add_argument("--delta", type=_frac, required=True)
     cq.add_argument("--radius", type=_positive, required=True)
     cq.add_argument("--exact", action="store_true")
-    cq.add_argument("--budget", type=_nonnegative, default=10000)
+    cq.add_argument("--budget", type=_positive, default=10000)
     cq.add_argument("--seed", type=int, default=0)
     cq.add_argument("--out")
 
@@ -125,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default=dec.THRESHOLD_THEOREM)
     dc.add_argument("--epsilon", type=_frac,
                     help="verify the result and embed the verdict (needs --radius)")
-    dc.add_argument("--radius", type=_positive)
-    dc.add_argument("--budget", type=_nonnegative, default=2000)
+    dc.add_argument("--radius", type=_positive, help="verification radius (needs --epsilon)")
+    dc.add_argument("--budget", type=_positive, default=2000)
     dc.add_argument("--out", required=True)
 
     vp = sub.add_parser("verify-partition", help="check the decomposition conditions")
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--threshold-mode", dest="threshold_mode",
                     choices=[dec.THRESHOLD_THEOREM, dec.THRESHOLD_PROOF],
                     default=dec.THRESHOLD_THEOREM)
-    vp.add_argument("--budget", type=_nonnegative, default=2000)
+    vp.add_argument("--budget", type=_positive, default=2000)
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--out")
 
@@ -160,7 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(raw)
+    parser = build_parser()
+    args = parser.parse_args(raw)
+    if args.subcommand == "decompose" and (args.epsilon is None) != (args.radius is None):
+        missing = "--radius" if args.radius is None else "--epsilon"
+        parser.error(f"decompose: --epsilon and --radius verify together; {missing} is missing")
     args.raw_argv = raw
     try:
         return _dispatch(args)
@@ -323,7 +327,7 @@ def _cmd_decompose(args) -> int:
     p = dec.decompose(g, args.delta, args.lam, args.kmax,
                       args.signature_radius, args.seed, args.threshold_mode)
     doc = reports.partition_to_json(p)
-    if args.epsilon is not None and args.radius is not None:
+    if args.epsilon is not None:
         verdict = dec.verify_partition(
             g, p, args.delta, args.lam, args.epsilon, args.radius,
             dec.MODE_HEURISTIC, args.threshold_mode, args.budget, args.seed,
@@ -381,7 +385,7 @@ def _cmd_split_diagnostics(args) -> int:
 
 def _cmd_convergence(args) -> int:
     mw = _manifest(args, "convergence")
-    doc = reports.validate_document(reports.read_json(args.specs))
+    doc = reports.document_of_kind(reports.read_json(args.specs), "family_specs")
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
     mw.add_input(args.specs)
     mw.record(radius=args.radius, count=len(specs))

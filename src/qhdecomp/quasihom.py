@@ -10,19 +10,26 @@ before a violation is certified, so certificates stay valid for the full
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, exp, floor
 from random import Random
 
 import numpy as np
 
 from . import balls
-from .errors import TooLargeForExactError
+from .errors import EmptyGraphError, TooLargeForExactError, VertexSetMismatchError
 from .graph import Graph, boundary_edge_count, spanned_subgraph
-from .stats import StatVector, d_s, stat_vector
+from .stats import stat_vector  # noqa: F401  (the benchmark's tracer patches this name)
 
 EXHAUSTIVE_CAP = 20
+# subset evaluators kept for the most recent (graph, R) pairs, so the
+# entry points called on one graph share one
+_EVALUATOR_MEMO = 4
+# entries either code cache of an evaluator holds before it starts over
+_MAX_CACHED_CODES = 1 << 12
 
 HOLDS_EXACT = "holds_exact"
 NO_VIOLATION = "no_violation_found"
@@ -75,16 +82,102 @@ def _boundary_budget(p: QuasihomParams, n: int) -> int:
     return floor(Fraction(p.epsilon * n))
 
 
-def _evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessStats:
-    sub, _ = spanned_subgraph(g, subset)
-    value, tail = d_s(base, stat_vector(sub, p.R))
-    return WitnessStats(
-        size_fraction=Fraction(sub.n, g.n),
-        boundary=boundary_edge_count(g, subset),
-        ds_value=value,
-        tail=tail,
-        certified=value > p.delta + tail,
-    )
+class _SubsetEvaluator:
+    """Witness statistics of the spanned subgraphs G[S] of one graph G.
+
+    Locality: every ball of v in G[S] up to radius R is spanned by
+    S ∩ B_G(v, R), so v's codes in G[S] are a function of that set alone,
+    and equal v's codes in G when the whole ball lies in S.  The evaluator
+    keeps every vertex's codes in G (radii 1..R), the integer code counts
+    of G, the members of each ball B_G(v, R), a memo of v's codes keyed by
+    which of those members S holds, and one raw-key -> code cache shared
+    by all candidates.  Both caches start over once they pass
+    ``_MAX_CACHED_CODES`` entries.
+    """
+
+    def __init__(self, g: Graph, R: int):
+        if g.n == 0:
+            raise EmptyGraphError("statistics of the empty graph are undefined")
+        self.g = g
+        self.R = R
+        self.radii = range(1, R + 1)
+        self.codes: dict = {}
+        self.local: dict[tuple[int, bytes], tuple[bytes, ...]] = {}
+        self.base = [
+            tuple(balls.codes_at_radii(g, v, self.radii, cache=self.codes).values())
+            for v in range(g.n)
+        ]
+        self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
+        self.members = [tuple(balls._bfs_members(g, v, R)[0]) for v in range(g.n)]
+
+    def evaluate(self, subset: list[int], delta: Fraction) -> WitnessStats:
+        """Statistics of G[subset]; ``subset`` is sorted, distinct, nonempty."""
+        if len(self.codes) > _MAX_CACHED_CODES:
+            self.codes.clear()
+        if len(self.local) > _MAX_CACHED_CODES:
+            self.local.clear()
+        inside = bytearray(self.g.n)
+        for v in subset:
+            inside[v] = 1
+        sub = index = None
+        tally: dict[tuple[bytes, ...], int] = {}
+        for v in subset:
+            seen = bytes(map(inside.__getitem__, self.members[v]))
+            if 0 not in seen:
+                codes = self.base[v]
+            else:
+                codes = self.local.get((v, seen))
+                if codes is None:
+                    if sub is None:
+                        sub, index = spanned_subgraph(self.g, subset)
+                    found = balls.codes_at_radii(sub, index[v], self.radii, cache=self.codes)
+                    codes = self.local[v, seen] = tuple(found.values())
+            tally[codes] = tally.get(codes, 0) + 1
+
+        # d_s = sum_r 2^-r * TV_r, with TV_r = sum_c |a_c*m - b_c*n| / (2*n*m)
+        n, m = self.g.n, len(subset)
+        num = 0
+        for i, whole in enumerate(self.base_counts):
+            part: dict[bytes, int] = {}
+            for codes, count in tally.items():
+                part[codes[i]] = part.get(codes[i], 0) + count
+            acc = sum(abs(a * m - part.pop(c, 0) * n) for c, a in whole.items())
+            acc += sum(part.values()) * n
+            num += acc << (self.R - 1 - i)
+        value = Fraction(num, (2 * n * m) << self.R)
+        tail = Fraction(1, 2 ** self.R)
+        return WitnessStats(
+            size_fraction=Fraction(m, n),
+            boundary=boundary_edge_count(self.g, subset),
+            ds_value=value,
+            tail=tail,
+            certified=value > delta + tail,
+        )
+
+
+@lru_cache(maxsize=_EVALUATOR_MEMO)
+def _evaluator(g: Graph, R: int) -> _SubsetEvaluator:
+    return _SubsetEvaluator(g, R)
+
+
+def _mask_filter(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Size and boundary of every vertex subset, indexed by bitmask.
+
+    Built by doubling: adding v to S ⊆ {0..v-1} adds one vertex and
+    deg(v) - 2|S ∩ N(v)| boundary edges, so the entries for masks in
+    [2^v, 2^(v+1)) follow from those below 2^v.
+    """
+    n = g.n
+    masks = np.arange(1 << max(0, n - 1), dtype=np.uint64)
+    sizes = np.zeros(1 << n, dtype=np.uint8)
+    boundary = np.zeros(1 << n, dtype=np.int32)
+    for v in range(n):
+        low, high = slice(0, 1 << v), slice(1 << v, 2 << v)
+        earlier = np.uint64(sum(1 << w for w in g.adjacency[v] if w < v))
+        joined = np.bitwise_count(masks[low] & earlier).astype(np.int32)
+        sizes[high] = sizes[low] + 1
+        boundary[high] = boundary[low] + (g.degree(v) - 2 * joined)
+    return sizes, boundary
 
 
 def check_exact(g: Graph, p: QuasihomParams, cap: int = EXHAUSTIVE_CAP) -> QuasihomVerdict:
@@ -97,26 +190,17 @@ def check_exact(g: Graph, p: QuasihomParams, cap: int = EXHAUSTIVE_CAP) -> Quasi
     n = g.n
     if n > cap:
         raise TooLargeForExactError(f"{n} vertices > exhaustive cap {cap}")
-    base = stat_vector(g, p.R)
+    ev = _evaluator(g, p.R)
     s_min = _size_threshold(p, n)
     b_max = _boundary_budget(p, n)
-
-    masks = np.arange(1 << n, dtype=np.uint64)
-    sizes = np.bitwise_count(masks)
-    boundary = np.zeros(1 << n, dtype=np.int64)
-    full = np.uint64((1 << n) - 1)
-    for v in range(n):
-        adj_mask = np.uint64(sum(1 << w for w in g.adjacency[v]))
-        in_s = (masks >> np.uint64(v)) & np.uint64(1)
-        out_nbrs = np.bitwise_count(np.bitwise_and(np.bitwise_xor(masks, full), adj_mask))
-        boundary += in_s.astype(np.int64) * out_nbrs.astype(np.int64)
+    sizes, boundary = _mask_filter(g)
     qualifying = np.flatnonzero((sizes >= s_min) & (boundary <= b_max))
 
     near = 0
     checked = 0
-    for mask in qualifying:
-        subset = [v for v in range(n) if (int(mask) >> v) & 1]
-        stats = _evaluate(g, base, subset, p)
+    for mask in qualifying.tolist():
+        subset = [v for v in range(n) if (mask >> v) & 1]
+        stats = ev.evaluate(subset, p.delta)
         checked += 1
         if stats.certified:
             return QuasihomVerdict(VIOLATED, tuple(subset), stats, near, checked)
@@ -132,7 +216,10 @@ def verify_certificate(
     subset = sorted(set(subset))
     if not subset:
         return False, WitnessStats(Fraction(0), 0, Fraction(0), Fraction(1, 2 ** p.R), False)
-    stats = _evaluate(g, stat_vector(g, p.R), subset, p)
+    ev = _evaluator(g, p.R)
+    if subset[0] < 0 or subset[-1] >= g.n:
+        raise VertexSetMismatchError("subset vertex out of range")
+    stats = ev.evaluate(subset, p.delta)
     ok = (
         stats.size_fraction >= p.lam
         and stats.boundary <= p.epsilon * g.n
@@ -159,7 +246,7 @@ def falsify_heuristic(
         return verdict
     n = g.n
     rng = Random(seed)
-    base = stat_vector(g, p.R)
+    ev = _evaluator(g, p.R)
     s_min = _size_threshold(p, n)
     b_max = _boundary_budget(p, n)
 
@@ -169,7 +256,7 @@ def falsify_heuristic(
             return
         if boundary_edge_count(g, subset) > b_max:
             return
-        stats = _evaluate(g, base, subset, p)
+        stats = ev.evaluate(subset, p.delta)
         verdict.candidates_checked += 1
         if stats.certified:
             verdict.status = VIOLATED
@@ -188,7 +275,7 @@ def falsify_heuristic(
     # annealing chains on the remaining budget
     while spent < budget and verdict.status != VIOLATED:
         chain = min(budget - spent, max(200, budget // 4))
-        _anneal_chain(g, p, base, s_min, b_max, chain, rng, consider, verdict)
+        _anneal_chain(g, p, s_min, b_max, chain, rng, consider, verdict)
         spent += chain
     return verdict
 
@@ -201,12 +288,11 @@ def _seed_candidates(g: Graph, p: QuasihomParams, s_min: int, rng: Random):
         if region is not None:
             yield region
 
-    cache: dict = {}
-    sig_radius = min(p.R, 2)
+    # the evaluator already holds every vertex's codes at radii 1..R
+    sig = min(p.R, 2) - 1
     classes: dict[bytes, list[int]] = {}
-    for v in range(n):
-        code = balls.codes_at_radii(g, v, (sig_radius,), cache=cache)[sig_radius]
-        classes.setdefault(code, []).append(v)
+    for v, codes in enumerate(_evaluator(g, p.R).base):
+        classes.setdefault(codes[sig], []).append(v)
     groups = sorted(classes.values(), key=lambda c: (-len(c), c))
     prefix: list[int] = []
     for grp in groups:
@@ -242,47 +328,52 @@ def _grow_bfs(g: Graph, start: int, target: int):
     return order[:target]
 
 
-def _anneal_chain(g, p, base, s_min, b_max, iterations, rng, consider, verdict):
+def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
     n = g.n
+    adj = g.adjacency
     member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
     size = sum(member)
-    boundary = sum(
-        1
-        for u, v in g.edges()
-        if member[u] != member[v]
-    )
+    # cut[v]: neighbours of v on the other side of the cut, kept up to date
+    cut = [sum(member[w] != member[v] for w in adj[v]) for v in range(n)]
+    boundary = sum(cut) // 2
     eval_stride = max(1, iterations // 25)
 
     def energy(sz, bd):
         return g.degree_bound * max(0, s_min - sz) + max(0, bd - b_max)
 
+    current = energy(size, boundary)
+    randrange, uniform = rng.randrange, rng.random
     temp0 = 2.0
     for it in range(iterations):
-        if verdict.status == VIOLATED:
-            return
-        temp = temp0 * (0.01 / temp0) ** (it / max(1, iterations - 1))
         # bias flips toward cut-adjacent vertices without rebuilding the cut
-        v = rng.randrange(n)
+        v = randrange(n)
         for _ in range(5):
-            if rng.random() < 0.2 or any(member[w] != member[v] for w in g.adjacency[v]):
+            if uniform() < 0.2 or cut[v]:
                 break
-            v = rng.randrange(n)
-        inside = sum(1 for w in g.adjacency[v] if member[w])
-        outside = g.degree(v) - inside
-        if member[v]:
-            new_size = size - 1
-            new_boundary = boundary - outside + inside
+            v = randrange(n)
+        # flipping v moves its cut edges inside and its other edges onto the cut
+        new_size = size - 1 if member[v] else size + 1
+        new_boundary = boundary + len(adj[v]) - 2 * cut[v]
+        new_energy = energy(new_size, new_boundary)
+        delta_e = new_energy - current
+        # only an uphill move draws: the RNG stream is part of every verdict
+        if delta_e <= 0:
+            accept = True
         else:
-            new_size = size + 1
-            new_boundary = boundary - inside + outside
-        delta_e = energy(new_size, new_boundary) - energy(size, boundary)
-        if delta_e <= 0 or rng.random() < exp(-delta_e / max(temp, 1e-9)):
-            member[v] = not member[v]
-            size, boundary = new_size, new_boundary
+            temp = temp0 * (0.01 / temp0) ** (it / max(1, iterations - 1))
+            accept = uniform() < exp(-delta_e / max(temp, 1e-9))
+        if accept:
+            side = member[v] = not member[v]
+            cut[v] = len(adj[v]) - cut[v]
+            for w in adj[v]:
+                cut[w] += 1 if member[w] != side else -1
+            size, boundary, current = new_size, new_boundary, new_energy
         if (
-            size >= s_min
+            it % eval_stride == 0
+            and size >= s_min
             and boundary <= b_max
             and size < n
-            and it % eval_stride == 0
         ):
             consider([u for u in range(n) if member[u]])
+            if verdict.status == VIOLATED:
+                return

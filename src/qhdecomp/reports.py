@@ -34,7 +34,7 @@ def _schema(kind: str) -> dict:
 
 
 def validate_document(doc: dict) -> dict:
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str):
         raise FormatError("document missing 'kind'")
     try:
@@ -44,6 +44,14 @@ def validate_document(doc: dict) -> dict:
     except jsonschema.ValidationError as exc:
         raise FormatError(f"invalid {kind} document: {exc.message}")
     return doc
+
+
+def document_of_kind(doc: dict, kind: str) -> dict:
+    """``validate_document`` for a reader that takes one kind of document."""
+    found = doc.get("kind") if isinstance(doc, dict) else None
+    if found != kind:
+        raise FormatError(f"expected a {kind} document, got {found!r}")
+    return validate_document(doc)
 
 
 def rational(x: Fraction) -> dict:
@@ -74,7 +82,7 @@ def stat_vector_to_json(s: StatVector) -> dict:
 
 
 def stat_vector_from_json(doc: dict) -> StatVector:
-    validate_document(doc)
+    document_of_kind(doc, "stat_vector")
     radii = []
     for layer in doc["radii"]:
         radii.append({
@@ -142,7 +150,7 @@ def partition_to_json(p: Partition) -> dict:
 
 
 def partition_from_json(doc: dict) -> Partition:
-    validate_document(doc)
+    document_of_kind(doc, "partition")
     return Partition(
         doc["n"],
         tuple(doc["assignment"]),
@@ -195,7 +203,7 @@ def edge_coloring_to_json(g_n: int, vc: VertexColoring, ec: EdgeColoring) -> dic
 
 
 def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
-    validate_document(doc)
+    document_of_kind(doc, "edge_coloring")
     return {(e["u"], e["v"]): e["c"] for e in doc["edges"]}
 
 

@@ -4,7 +4,9 @@ Nothing here touches the canonicalization or counting paths under test:
 isomorphism is decided by exhaustive backtracking over vertex bijections,
 and graph enumeration/deduplication relies on that backtracking only.
 ``agglomerate`` is the plain merge loop that the partition engine's cached
-``_agglomerate`` must reproduce cluster for cluster.
+``_agglomerate`` must reproduce cluster for cluster, and ``evaluate`` the
+whole-StatVector subset evaluation that ``quasihom``'s shared evaluator must
+reproduce field for field.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from collections import deque
 from fractions import Fraction
 
 from qhdecomp.balls import RootedBall
-from qhdecomp.graph import Graph, from_adjacency
+from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
+from qhdecomp.quasihom import QuasihomParams, WitnessStats
+from qhdecomp.stats import StatVector, d_s, stat_vector
 
 
 def rooted_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:
@@ -280,3 +284,15 @@ def agglomerate(g, codes, classes, K_max):
         del clusters[j]
         del envs[j]
     return clusters
+
+
+def evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessStats:
+    sub, _ = spanned_subgraph(g, subset)
+    value, tail = d_s(base, stat_vector(sub, p.R))
+    return WitnessStats(
+        size_fraction=Fraction(sub.n, g.n),
+        boundary=boundary_edge_count(g, subset),
+        ds_value=value,
+        tail=tail,
+        certified=value > p.delta + tail,
+    )

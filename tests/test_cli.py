@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qhdecomp
 from qhdecomp import reports
@@ -224,6 +227,17 @@ BAD_ARGV = {
                                    "--lambda", "3/10", "--kmax", "2",
                                    "--signature-radius", "-1", "--out", "p.json"],
                                   2, "--signature-radius"),
+    # zero candidates would report a vacuous no_violation_found
+    "budget_zero": (["check-quasihom", "--input", "c.el", "--epsilon", "1/10",
+                     "--lambda", "1/2", "--delta", "1/2", "--radius", "1",
+                     "--budget", "0", "--out", "v.json"], 2, "--budget"),
+    # verification needs both; one alone used to skip it silently
+    "epsilon_without_radius": (["decompose", "--input", "c.el", "--delta", "1/10",
+                                "--lambda", "3/10", "--kmax", "2", "--signature-radius", "1",
+                                "--epsilon", "1/20", "--out", "p.json"], 2, "--radius"),
+    "radius_without_epsilon": (["decompose", "--input", "c.el", "--delta", "1/10",
+                                "--lambda", "3/10", "--kmax", "2", "--signature-radius", "1",
+                                "--radius", "2", "--out", "p.json"], 2, "--epsilon"),
 }
 
 
@@ -236,3 +250,80 @@ def test_bad_arguments_exit_cleanly(workdir, case):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr and word in proc.stderr
     assert not any((workdir / out).exists() for out in ("g.el", "s.json", "v.json", "p.json"))
+
+
+_NUMBERS = ["0", "1", "2", "3", "-1", "-5", "1/2", "1/10", "0.1", "-1/3", "1/0", "x", "", "3,4",
+            "8", "1e3"]
+_FILES = ["c.el", "t.el", "s.json", "p.json", "specs.json", "spec.json", "missing.el"]
+_OUTS = ["o.el", "o.json"]
+# flag -> values drawn for it; None marks a bare switch
+_FLAGS = {
+    "generate": {"--kind": ["cycle", "path", "grid_torus", "random_regular", "nope"],
+                 "--params": _NUMBERS + ["8,3", "3,3", "4"], "--seed": _NUMBERS,
+                 "--bridges": _NUMBERS, "--spec": _FILES, "--out": _OUTS},
+    "stats": {"--input": _FILES, "--radius": _NUMBERS, "--colors": _FILES,
+              "--dump-atlas": _OUTS, "--out": _OUTS},
+    "distance": {"--a": _FILES, "--b": _FILES, "--out": _OUTS},
+    "editdist": {"--a": _FILES, "--b": _FILES, "--out": _OUTS},
+    "sparse-density": {"--pattern": _FILES, "--input": _FILES, "--out": _OUTS},
+    "color-edges": {"--input": _FILES, "--out": _OUTS, "--out-el": _OUTS},
+    "check-quasihom": {"--input": _FILES, "--epsilon": _NUMBERS, "--lambda": _NUMBERS,
+                       "--delta": _NUMBERS, "--radius": _NUMBERS, "--exact": None,
+                       "--budget": _NUMBERS, "--seed": _NUMBERS, "--out": _OUTS},
+    "decompose": {"--input": _FILES, "--delta": _NUMBERS, "--lambda": _NUMBERS,
+                  "--kmax": _NUMBERS, "--signature-radius": _NUMBERS, "--seed": _NUMBERS,
+                  "--threshold-mode": ["theorem", "proof", "x"], "--epsilon": _NUMBERS,
+                  "--radius": _NUMBERS, "--budget": _NUMBERS, "--out": _OUTS},
+    "verify-partition": {"--input": _FILES, "--partition": _FILES, "--delta": _NUMBERS,
+                         "--lambda": _NUMBERS, "--epsilon": _NUMBERS, "--radius": _NUMBERS,
+                         "--mode": ["exact", "heuristic", "x"], "--budget": _NUMBERS,
+                         "--seed": _NUMBERS, "--out": _OUTS},
+    "split-diagnostics": {"--inputs": _FILES, "--partitions": _FILES, "--radius": _NUMBERS,
+                          "--out": _OUTS},
+    "convergence": {"--specs": _FILES, "--radius": _NUMBERS, "--out": _OUTS},
+}
+
+
+@st.composite
+def _argvs(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [sub]
+    for flag, values in _FLAGS[sub].items():
+        if not draw(st.integers(0, 4)):
+            continue  # each flag is left out one time in five
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch):
+    """Drawn argv lists end in exit 0, 1 or 2, never in an uncaught exception."""
+    monkeypatch.chdir(tmp_path)
+    quiet = contextlib.redirect_stdout(io.StringIO())
+    with quiet:
+        main(["generate", "--kind", "cycle", "--params", "8", "--out", "c.el"])
+        main(["generate", "--kind", "grid_torus", "--params", "3,3", "--out", "t.el"])
+        main(["stats", "--input", "c.el", "--radius", "2", "--out", "s.json"])
+        main(["decompose", "--input", "c.el", "--delta", "1/10", "--lambda", "3/10",
+              "--kmax", "2", "--signature-radius", "1", "--out", "p.json"])
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "path", "params": [5]}))
+    (tmp_path / "specs.json").write_text(json.dumps({
+        "format_version": 1,
+        "kind": "family_specs",
+        "specs": [{"kind": "cycle", "params": [L]} for L in (6, 8)],
+    }))
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(_argvs())
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+
+    run()

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qhdecomp.errors import TooLargeForExactError
+from qhdecomp import quasihom
+from qhdecomp.errors import EmptyGraphError, TooLargeForExactError, VertexSetMismatchError
 from qhdecomp.families import FamilySpec, generate
-from qhdecomp.graph import validate
+from qhdecomp.graph import boundary_edge_count, connected_components, from_adjacency, validate
 from qhdecomp.quasihom import (
     HOLDS_EXACT,
     NO_VIOLATION,
@@ -19,7 +20,8 @@ from qhdecomp.quasihom import (
 )
 from qhdecomp.stats import d_s, stat_vector
 
-from conftest import cycle, double, random_bounded_graph
+from conftest import cycle, double, path, random_bounded_graph
+from oracles import evaluate
 
 
 def test_params_validation():
@@ -208,3 +210,152 @@ def test_seed_candidate_stream_pinned():
     assert hashlib.sha256(repr(stream).encode()).hexdigest() == (
         "e977e9b09880420c47c5f7da52d76337aa6ce6398061b12fc5375722f16f66ce"
     )
+
+
+def _with_isolated_vertex(g):
+    return from_adjacency([*g.adjacency, ()], g.degree_bound)
+
+
+def _evaluator_cases():
+    rng = random.Random(5)
+    graphs = [random_bounded_graph(rng.randint(6, 16), 3, rng) for _ in range(8)]
+    graphs += [cycle(9), cycle(14), path(7), path(12)]
+    graphs.append(_with_isolated_vertex(generate(FamilySpec(
+        "disjoint_union", parts=(FamilySpec("cycle", (6,)), FamilySpec("path", (5,))),
+    ))))
+    return graphs
+
+
+def _independent_set(g):
+    """Greedy maximal independent set of the non-isolated vertices: every
+    member's ball leaves the set."""
+    chosen: set[int] = set()
+    for v in range(g.n):
+        if g.adjacency[v] and not chosen.intersection(g.adjacency[v]):
+            chosen.add(v)
+    return sorted(chosen)
+
+
+def test_evaluator_matches_reference():
+    # one evaluator per (graph, R) answers every subset, so later subsets
+    # also exercise the codes memoized for earlier ones
+    rng = random.Random(17)
+    for g in _evaluator_cases():
+        n = g.n
+        # the full set, one vertex, a whole component (every ball inside S)
+        # and an independent set (every ball leaving S)
+        subsets = [list(range(n)), [n - 1], connected_components(g)[0]]
+        if _independent_set(g):
+            subsets.append(_independent_set(g))
+        for _ in range(12):
+            subsets.append(sorted(rng.sample(range(n), rng.randint(1, n))))
+        for R in (1, 2, 3):
+            p = QuasihomParams(Fraction(1, 20), Fraction(1, 2), Fraction(1, 10), R)
+            base = stat_vector(g, R)
+            ev = quasihom._evaluator(g, R)
+            for subset in subsets:
+                assert ev.evaluate(subset, p.delta) == evaluate(g, base, subset, p), (g, R, subset)
+
+
+def test_mask_filter_matches_bruteforce():
+    rng = random.Random(23)
+    graphs = [validate([], 1, 1), cycle(5), path(6), _with_isolated_vertex(cycle(7))]
+    graphs += [random_bounded_graph(rng.randint(2, 10), 3, rng) for _ in range(6)]
+    for g in graphs:
+        sizes, boundary = quasihom._mask_filter(g)
+        assert len(sizes) == len(boundary) == 1 << g.n
+        for mask in range(1 << g.n):
+            subset = [v for v in range(g.n) if (mask >> v) & 1]
+            assert sizes[mask] == len(subset)
+            assert boundary[mask] == boundary_edge_count(g, subset)
+
+
+def _verdict_corpus():
+    """Graphs and parameters whose verdicts cover violations, near misses,
+    exhaustive holds, full heuristic budgets and an isolated vertex."""
+    F = Fraction
+    union = generate(FamilySpec(
+        "bridged_union",
+        parts=(FamilySpec("cycle", (8,)), FamilySpec("random_regular", (8, 3), seed=5)),
+        bridges=1,
+        seed=5,
+    ))
+    planted = generate(FamilySpec(
+        "disjoint_union",
+        parts=(FamilySpec("cycle", (10,)), FamilySpec("random_regular", (10, 3), seed=4)),
+    ))
+    mixed = generate(FamilySpec(
+        "disjoint_union", parts=(FamilySpec("cycle", (7,)), FamilySpec("path", (7,))),
+    ))
+    corpus = [
+        (cycle(12), QuasihomParams(F(1, 12), F(1, 2), F(1, 4), 2)),
+        (double(cycle(6)), QuasihomParams(F(1, 12), F(2, 5), F(1, 8), 2)),
+        (planted, QuasihomParams(F(1, 20), F(2, 5), F(1, 10), 3)),
+        (path(14), QuasihomParams(F(1, 8), F(1, 2), F(1, 5), 3)),
+        (union, QuasihomParams(F(1, 8), F(3, 10), F(3, 20), 3)),
+        (mixed, QuasihomParams(F(1, 7), F(3, 10), F(1, 5), 2)),
+        (_with_isolated_vertex(cycle(9)), QuasihomParams(F(1, 5), F(3, 10), F(1, 4), 2)),
+    ]
+    rng = random.Random(11)
+    corpus += [
+        (random_bounded_graph(n, 3, rng), QuasihomParams(F(1, 10), F(3, 10), F(3, 20), 3))
+        for n in (9, 11, 13)
+    ]
+    corpus.append((cycle(16), QuasihomParams(F(1, 6), F(3, 10), F(1, 5), 2)))
+    rng = random.Random(3)
+    for n in (10, 12, 14):
+        g = random_bounded_graph(n, 3, rng)
+        for p in (
+            QuasihomParams(F(1, 10), F(3, 10), F(1, 8), 2),
+            QuasihomParams(F(1, 6), F(3, 10), F(1, 5), 2),
+            QuasihomParams(F(1, 8), F(1, 2), F(1, 5), 3),
+        ):
+            corpus.append((g, p))
+    return corpus
+
+
+def _verdict_digest() -> str:
+    rows = []
+    for g, p in _verdict_corpus():
+        exact = check_exact(g, p)
+        heur = falsify_heuristic(g, p, budget=1500, seed=g.n)
+        rows.append([
+            (v.status, v.witness, v.witness_stats, v.near_misses, v.candidates_checked)
+            for v in (exact, heur)
+        ])
+        for subset in (exact.witness, heur.witness, range(g.n), range(g.n // 2),
+                       range(0, g.n, 2)):
+            if subset is not None:
+                rows.append(verify_certificate(g, subset, p))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+# taken with the whole-StatVector evaluation the shared evaluator replaced
+VERDICT_DIGEST = "30b0fc64efe91f94e8dae1bf44adc13491aa57cdcfb8ac29306b842ebafc407f"
+
+
+def test_verdict_corpus_pinned():
+    assert _verdict_digest() == VERDICT_DIGEST
+
+
+def test_verdicts_survive_code_cache_clearing(monkeypatch):
+    # a cap of one entry empties both caches before every candidate
+    monkeypatch.setattr(quasihom, "_MAX_CACHED_CODES", 1)
+    quasihom._evaluator.cache_clear()
+    try:
+        assert _verdict_digest() == VERDICT_DIGEST
+    finally:
+        quasihom._evaluator.cache_clear()
+
+
+def test_empty_graph_and_out_of_range_subsets_raise():
+    empty = validate([], 0, 2)
+    p = QuasihomParams(Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), 2)
+    with pytest.raises(EmptyGraphError):
+        check_exact(empty, p)
+    with pytest.raises(EmptyGraphError):
+        verify_certificate(empty, [0], p)
+    with pytest.raises(VertexSetMismatchError):
+        verify_certificate(cycle(6), [0, 6], p)
+    with pytest.raises(VertexSetMismatchError):
+        verify_certificate(cycle(6), [-1, 0], p)
