@@ -25,8 +25,10 @@ equal codes by the canonicalization below.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from struct import pack
 
 from .errors import FormatError
 from .graph import Graph, from_adjacency
@@ -51,12 +53,7 @@ class RootedBall:
 
 
 def extract_ball(
-    g: Graph,
-    x: int,
-    r: int,
-    labels=None,
-    label_width: int = 0,
-    edge_colors=None,
+    g: Graph, x: int, r: int, labels=None, label_width: int = 0, edge_colors=None
 ) -> RootedBall:
     """Induced subgraph on {y : d_G(x,y) <= r}, rooted at x.
 
@@ -64,106 +61,122 @@ def extract_ball(
     host edge colors map (u, v) with u < v to small ints.  Both are
     restricted to the ball.
     """
-    members, layer = _bfs_members(g, x, r)
-    return _ball_from_members(g, members, r, layer, labels, label_width, edge_colors)
+    rows, _, ball_labels, ups = _reindex(g, x, r, labels, label_width, edge_colors)
+    return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
 
 
 def codes_at_radii(
-    g: Graph,
-    x: int,
-    radii,
-    labels=None,
-    label_width: int = 0,
-    edge_colors=None,
+    g: Graph, x: int, radii, labels=None, label_width: int = 0, edge_colors=None,
     cache: dict | None = None,
 ) -> dict[int, bytes]:
     """Canonical codes of the balls around ``x`` for several radii at once.
 
-    One BFS to max(radii); smaller balls are prefixes of the member list.
-    ``cache`` maps raw extraction keys to codes and may be shared across
-    vertices of the same census.
+    One BFS and one reindexing to max(radii); smaller balls are prefixes
+    of that ball.  ``cache`` may be shared across vertices and calls.  It
+    maps a raw radius-r ball and the requested radii up to r to the codes
+    at those radii (the ball determines every smaller ball), so one probe
+    usually answers a call.  On a miss the radii are walked down to the
+    largest hit, and only the balls above it are canonicalized and stored.
     """
-    rmax = max(radii)
-    members, layer = _bfs_members(g, x, rmax)
-    out = {}
-    for r in sorted(set(radii)):
-        cut = len(members)
-        while cut > 0 and layer[members[cut - 1]] > r:
-            cut -= 1
-        ball = _ball_from_members(
-            g, members[:cut], r, layer, labels, label_width, edge_colors
+    rs = tuple(sorted(set(radii)))
+    full = _reindex(g, x, rs[-1], labels, label_width, edge_colors)
+    codes: list[bytes] = []
+    missed = []
+    for i in range(len(rs) - 1, -1, -1):
+        view = _prefix(full, rs[i])
+        key = (rs[: i + 1], label_width) + view
+        found = None if cache is None else cache.get(key)
+        if found is not None:
+            codes += found
+            break
+        missed.append((key, view))
+    if missed:
+        # the largest ball's colours serve every smaller ball: its ids are
+        # a prefix, and canonicalization looks up only the ball's own edges
+        colors = _color_map(full[0], full[3])
+        for key, (rows, ball_labels, _) in reversed(missed):
+            ball = _ball(g, rows, rs[len(codes)], ball_labels, label_width, colors)
+            codes.append(canonical_code(ball))
+            if cache is not None:
+                cache[key] = tuple(codes)
+    return dict(zip(rs, codes))
+
+
+def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int]]:
+    """Host -> ball index of the radius-r ball around ``x``, numbered by
+    (distance, id), and ``ends``: ``ends[d]`` members lie at distance < d."""
+    adj = g.adjacency
+    index = {x: 0}
+    ends = [0, 1]
+    layer = (x,)
+    for _ in range(r):
+        layer = sorted({w for v in layer for w in adj[v]}.difference(index))
+        for w in layer:
+            index[w] = len(index)
+        ends.append(len(index))
+    return index, ends
+
+
+def _reindex(g, x, r, labels, label_width, edge_colors):
+    """Sorted neighbour-id rows of the radius-r ball around ``x``, the
+    ``ends`` of ``_bfs``, the members' labels and, per row, the colours of
+    its edges to higher ids (``None`` without labels or colours)."""
+    index, ends = _bfs(g, x, r)
+    adj = g.adjacency
+    # visiting members in id order appends each row's ids in sorted order
+    rows: list = [[] for _ in index]
+    ups: list | None = None if edge_colors is None else [[] for _ in index]
+    for j, v in enumerate(index):
+        for w in adj[v]:
+            i = index.get(w)
+            if i is not None:
+                rows[i].append(j)
+                if ups is not None and i < j:
+                    ups[i].append(edge_colors[(w, v) if w < v else (v, w)])
+    mask = (1 << label_width) - 1
+    ball_labels = None if labels is None else tuple(labels[v] & mask for v in index)
+    colors = None if ups is None else tuple(map(tuple, ups))
+    return tuple(map(tuple, rows)), ends, ball_labels, colors
+
+
+def _prefix(full, s):
+    """Rows, labels and upper-edge colours of the radius-s ball, the first
+    ``ends[s + 1]`` members of the ``_reindex`` ball ``full``: only the
+    rows at distance s change, losing their ids past the cut."""
+    rows, ends, labels, colors = full
+    lo, hi = ends[s], ends[s + 1]
+    if hi == len(rows):
+        return rows, labels, colors
+    shell = rows[lo:hi]
+    cut = tuple(row[: bisect_left(row, hi)] for row in shell)
+    if colors is not None:
+        # a row's upper colours go with the tail of its ids
+        colors = colors[:lo] + tuple(
+            cs[: len(cs) - len(row) + len(short)]
+            for row, short, cs in zip(shell, cut, colors[lo:hi])
         )
-        if cache is None:
-            out[r] = canonical_code(ball)
-        else:
-            key = _raw_key(ball)
-            code = cache.get(key)
-            if code is None:
-                code = canonical_code(ball)
-                cache[key] = code
-            out[r] = code
-    return out
+    return rows[:lo] + cut, None if labels is None else labels[:hi], colors
 
 
-def _bfs_members(g: Graph, x: int, r: int):
-    layer = {x: 0}
-    order = [x]
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        dv = layer[v]
-        if dv >= r:
-            continue
-        for w in g.adjacency[v]:
-            if w not in layer:
-                layer[w] = dv + 1
-                order.append(w)
-                queue.append(w)
-    order.sort(key=lambda v: (layer[v], v))
-    return order, layer
+def _color_map(rows, ups):
+    """Ball edge (i, j), i < j -> colour, from rows and upper-edge colours."""
+    return None if ups is None else {
+        (i, j): c
+        for i, (row, cs) in enumerate(zip(rows, ups))
+        for j, c in zip(row[len(row) - len(cs):], cs)
+    }
 
 
-def _ball_from_members(g, members, r, layer, labels, label_width, edge_colors):
-    index = {old: new for new, old in enumerate(members)}
-    adj: list[list[int]] = [[] for _ in members]
-    colors: dict[tuple[int, int], int] | None = None if edge_colors is None else {}
-    for old in members:
-        new = index[old]
-        for w in g.adjacency[old]:
-            if w in index:
-                nw = index[w]
-                adj[new].append(nw)
-                if edge_colors is not None and new < nw:
-                    key = (min(old, w), max(old, w))
-                    colors[(new, nw)] = edge_colors[key]
-    ball_labels = None
-    if labels is not None:
-        mask = (1 << label_width) - 1
-        ball_labels = tuple(labels[old] & mask for old in members)
-    return RootedBall(
-        from_adjacency(adj, g.degree_bound), r, ball_labels, label_width, colors
-    )
+def _ball(g, rows, r, labels, label_width, colors) -> RootedBall:
+    return RootedBall(Graph(len(rows), rows, g.degree_bound), r, labels, label_width, colors)
 
 
 def canonical_code(ball: RootedBall) -> bytes:
-    g = ball.graph
-    n = g.n
-    if n > 0xFFFF:
+    if ball.graph.n > 0xFFFF:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
     return _serialize(ball, _canonical_order(ball))
-
-
-def _raw_key(ball: RootedBall):
-    colors = ball.edge_colors
-    return (
-        ball.radius,
-        ball.graph.adjacency,
-        ball.labels,
-        ball.label_width,
-        None if colors is None else tuple(sorted(colors.items())),
-    )
 
 
 # --- canonicalization -------------------------------------------------------
@@ -185,7 +198,7 @@ def _canonical_order(ball: RootedBall) -> list[int]:
             return 0
     else:
         def ecol(u, v):
-            return colors[(min(u, v), max(u, v))]
+            return colors[(u, v) if u < v else (v, u)]
 
     dist = [n + 1] * n
     dist[0] = 0
@@ -348,7 +361,8 @@ def _expand_pendants(heads: list[int], hang) -> list[int]:
         while stack:
             v = stack.pop()
             order.append(v)
-            stack.extend(c for _, _, c in reversed(hang[v]))
+            if hang[v]:
+                stack.extend([c for _, _, c in reversed(hang[v])])
     return order
 
 
@@ -357,40 +371,26 @@ def _expand_pendants(heads: list[int], hang) -> list[int]:
 def _serialize(ball: RootedBall, order: list[int]) -> bytes:
     g = ball.graph
     n = g.n
+    labels, colors = ball.labels, ball.edge_colors
     pos = [0] * n
     for p, old in enumerate(order):
         pos[old] = p
-    flags = 0
-    if ball.labels is not None:
-        flags |= 1
-    if ball.edge_colors is not None:
-        flags |= 2
-    out = bytearray()
-    out.append(_TAG)
-    out.append(ball.radius)
-    out += n.to_bytes(2, "little")
-    out.append(flags)
-    out.append(ball.label_width if ball.labels is not None else 0)
-
+    flags = (labels is not None) | (colors is not None) << 1
+    width = ball.label_width if labels is not None else 0
+    out = bytearray((_TAG, ball.radius, n & 0xFF, n >> 8, flags, width))
     color_stream: list[int] = []
-    for p in range(n):
-        old = order[p]
-        ups = sorted(pos[w] for w in g.adjacency[old] if pos[w] > p)
+    for p, old in enumerate(order):
+        ups = sorted([q for q in map(pos.__getitem__, g.adjacency[old]) if q > p])
         out.append(len(ups))
-        for q in ups:
-            out += q.to_bytes(2, "little")
-            if ball.edge_colors is not None:
-                a, b = order[p], order[q]
-                color_stream.append(ball.edge_colors[(min(a, b), max(a, b))])
-    if ball.labels is not None:
-        k = ball.label_width
-        nbytes = (k + 7) // 8
-        for p in range(n):
-            out += (ball.labels[order[p]] << (nbytes * 8 - k)).to_bytes(
-                nbytes, "big"
-            )
-    for c in color_stream:
-        out += c.to_bytes(2, "little")
+        out += pack(f"<{len(ups)}H", *ups)
+        if colors is not None:
+            for u in map(order.__getitem__, ups):
+                color_stream.append(colors[(old, u) if old < u else (u, old)])
+    if labels is not None:
+        nbytes = (width + 7) // 8
+        for old in order:
+            out += (labels[old] << (nbytes * 8 - width)).to_bytes(nbytes, "big")
+    out += pack(f"<{len(color_stream)}H", *color_stream)
     return bytes(out)
 
 

@@ -108,7 +108,7 @@ class _SubsetEvaluator:
             for v in range(g.n)
         ]
         self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
-        self.members = [tuple(balls._bfs_members(g, v, R)[0]) for v in range(g.n)]
+        self.members = [tuple(balls._bfs(g, v, R)[0]) for v in range(g.n)]
 
     def evaluate(self, subset: list[int], delta: Fraction) -> WitnessStats:
         """Statistics of G[subset]; ``subset`` is sorted, distinct, nonempty."""

@@ -13,7 +13,8 @@ import time
 from fractions import Fraction
 from importlib import resources
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .coloring import EdgeColoring, VertexColoring
 from .decomposer import Partition, PartitionVerdict, SplittingReport
@@ -23,14 +24,19 @@ from .stats import StatVector
 
 FORMAT_VERSION = 1
 
-_SCHEMA_CACHE: dict[str, dict] = {}
+_VALIDATORS: dict = {}
 
 
-def _schema(kind: str) -> dict:
-    if kind not in _SCHEMA_CACHE:
+def _validator(kind: str):
+    """The schema validator of one document kind, checked and built once
+    (``jsonschema.validate`` re-checks the schema on every call)."""
+    if kind not in _VALIDATORS:
         ref = resources.files("qhdecomp.schemas").joinpath(f"{kind}.schema.json")
-        _SCHEMA_CACHE[kind] = json.loads(ref.read_text())
-    return _SCHEMA_CACHE[kind]
+        schema = json.loads(ref.read_text())
+        cls = validator_for(schema)
+        cls.check_schema(schema)
+        _VALIDATORS[kind] = cls(schema)
+    return _VALIDATORS[kind]
 
 
 def validate_document(doc: dict) -> dict:
@@ -38,11 +44,13 @@ def validate_document(doc: dict) -> dict:
     if not isinstance(kind, str):
         raise FormatError("document missing 'kind'")
     try:
-        jsonschema.validate(doc, _schema(kind))
+        validator = _validator(kind)
     except FileNotFoundError:
         raise FormatError(f"unknown document kind {kind!r}")
-    except jsonschema.ValidationError as exc:
-        raise FormatError(f"invalid {kind} document: {exc.message}")
+    # the error jsonschema.validate would raise
+    error = best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise FormatError(f"invalid {kind} document: {error.message}")
     return doc
 
 

@@ -6,7 +6,11 @@ and graph enumeration/deduplication relies on that backtracking only.
 ``agglomerate`` is the plain merge loop that the partition engine's cached
 ``_agglomerate`` must reproduce cluster for cluster, and ``evaluate`` the
 whole-StatVector subset evaluation that ``quasihom``'s shared evaluator must
-reproduce field for field.
+reproduce field for field.  ``codes_at_radii`` is the per-radius ball
+extraction (one ``Graph`` and one raw cache key per radius) that the one-probe
+``balls.codes_at_radii`` must reproduce code for code and canonicalization
+for canonicalization; it calls ``balls.canonical_code`` itself, since only
+extraction and caching differ between the two.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 from collections import deque
 from fractions import Fraction
 
+from qhdecomp import balls
 from qhdecomp.balls import RootedBall
 from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
 from qhdecomp.quasihom import QuasihomParams, WitnessStats
@@ -295,4 +300,92 @@ def evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessSt
         ds_value=value,
         tail=tail,
         certified=value > p.delta + tail,
+    )
+
+
+def codes_at_radii(
+    g: Graph,
+    x: int,
+    radii,
+    labels=None,
+    label_width: int = 0,
+    edge_colors=None,
+    cache: dict | None = None,
+) -> dict[int, bytes]:
+    """Canonical codes of the balls around ``x`` for several radii at once.
+
+    One BFS to max(radii); smaller balls are prefixes of the member list.
+    ``cache`` maps raw extraction keys to codes and may be shared across
+    vertices of the same census.
+    """
+    rmax = max(radii)
+    members, layer = _bfs_members(g, x, rmax)
+    out = {}
+    for r in sorted(set(radii)):
+        cut = len(members)
+        while cut > 0 and layer[members[cut - 1]] > r:
+            cut -= 1
+        ball = _ball_from_members(
+            g, members[:cut], r, layer, labels, label_width, edge_colors
+        )
+        if cache is None:
+            out[r] = balls.canonical_code(ball)
+        else:
+            key = _raw_key(ball)
+            code = cache.get(key)
+            if code is None:
+                code = balls.canonical_code(ball)
+                cache[key] = code
+            out[r] = code
+    return out
+
+
+def _bfs_members(g: Graph, x: int, r: int):
+    layer = {x: 0}
+    order = [x]
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        dv = layer[v]
+        if dv >= r:
+            continue
+        for w in g.adjacency[v]:
+            if w not in layer:
+                layer[w] = dv + 1
+                order.append(w)
+                queue.append(w)
+    order.sort(key=lambda v: (layer[v], v))
+    return order, layer
+
+
+def _ball_from_members(g, members, r, layer, labels, label_width, edge_colors):
+    index = {old: new for new, old in enumerate(members)}
+    adj: list[list[int]] = [[] for _ in members]
+    colors: dict[tuple[int, int], int] | None = None if edge_colors is None else {}
+    for old in members:
+        new = index[old]
+        for w in g.adjacency[old]:
+            if w in index:
+                nw = index[w]
+                adj[new].append(nw)
+                if edge_colors is not None and new < nw:
+                    key = (min(old, w), max(old, w))
+                    colors[(new, nw)] = edge_colors[key]
+    ball_labels = None
+    if labels is not None:
+        mask = (1 << label_width) - 1
+        ball_labels = tuple(labels[old] & mask for old in members)
+    return RootedBall(
+        from_adjacency(adj, g.degree_bound), r, ball_labels, label_width, colors
+    )
+
+
+def _raw_key(ball: RootedBall):
+    colors = ball.edge_colors
+    return (
+        ball.radius,
+        ball.graph.adjacency,
+        ball.labels,
+        ball.label_width,
+        None if colors is None else tuple(sorted(colors.items())),
     )

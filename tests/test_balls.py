@@ -1,9 +1,12 @@
 import hashlib
 import random
 from collections import Counter
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qhdecomp import balls
 from qhdecomp.balls import (
     RootedBall,
     canonical_code,
@@ -16,6 +19,7 @@ from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_adjacency, relabel, validate
 from qhdecomp.stats import forget_colors, stat_vector
 
+import oracles
 from conftest import cycle, graphs, path, random_bounded_graph, torus
 from oracles import rooted_isomorphic
 
@@ -135,6 +139,85 @@ def test_codes_at_radii_matches_single_extraction():
     multi = codes_at_radii(g, 0, (1, 2, 3))
     for r in (1, 2, 3):
         assert multi[r] == canonical_code(extract_ball(g, 0, r))
+
+
+def _decorated_hosts():
+    """(graph, labels, label width, edge colors): plain hosts, some with
+    balls that stop growing before the largest radius, then labelled,
+    edge-colored and labelled edge-colored ones."""
+    rr = generate(FamilySpec("random_regular", (40, 3), seed=2))
+    _, ec = color_edges(rr)
+    bl = random_b_labels(rr, 3, seed=3)
+    return [
+        (torus(5, 6), None, 0, None),
+        (random_bounded_graph(30, 4, random.Random(1)), None, 0, None),
+        (path(7), None, 0, None),
+        (cycle(5), None, 0, None),
+        (rr, bl.values, 3, None),
+        (rr, None, 0, ec.colors),
+        (rr, bl.values, 3, ec.colors),
+        (torus(4, 5), random_b_labels(torus(4, 5), 1, seed=0).values, 1, None),
+    ]
+
+
+def test_codes_at_radii_matches_old_path():
+    # one cache for every host and radii set, as a long-lived caller might
+    # keep; the old per-radius path is the reference
+    cache, ref_cache = {}, {}
+    for radii in ((0,), (1,), (3,), (1, 3), (1, 2, 3), (3, 1, 3)):
+        for g, labels, width, colors in _decorated_hosts():
+            for x in range(g.n):
+                got = codes_at_radii(g, x, radii, labels, width, colors, cache)
+                want = oracles.codes_at_radii(g, x, radii, labels, width, colors, ref_cache)
+                assert got == want
+                assert list(got) == sorted(set(radii))
+                if x % 7 == 0:
+                    assert codes_at_radii(g, x, radii, labels, width, colors) == want
+                    r = max(radii)
+                    members, layer = oracles._bfs_members(g, x, r)
+                    assert extract_ball(g, x, r, labels, width, colors) == (
+                        oracles._ball_from_members(g, members, r, layer, labels, width, colors)
+                    )
+
+
+@pytest.mark.parametrize("host", ["torus", "regular", "colored"])
+def test_census_canonicalizes_as_often_as_old_path(host, monkeypatch):
+    if host == "torus":
+        g, colors = generate(FamilySpec("grid_torus", (8, 8))), None
+    else:
+        g = generate(FamilySpec("random_regular", (60, 3), seed=0))
+        colors = color_edges(g)[1].colors if host == "colored" else None
+    calls = Counter()
+    real = balls.canonical_code
+
+    def counted(ball):
+        calls[ball.radius] += 1
+        return real(ball)
+
+    monkeypatch.setattr(balls, "canonical_code", counted)
+    sv = stat_vector(g, 3, edge_colors=colors)
+    new_calls = calls.copy()
+    calls.clear()
+    cache = {}
+    counts = [Counter() for _ in range(3)]
+    for x in range(g.n):
+        codes = oracles.codes_at_radii(g, x, range(1, 4), None, 0, colors, cache)
+        for r in range(1, 4):
+            counts[r - 1][codes[r]] += 1
+    assert new_calls == calls and sum(calls.values()) > 0
+    assert [dict(sv.at(r)) for r in range(1, 4)] == [
+        {c: Fraction(k, g.n) for c, k in layer.items()} for layer in counts
+    ]
+
+
+def test_radius_zero_codes():
+    rr = generate(FamilySpec("random_regular", (20, 3), seed=1))
+    _, ec = color_edges(rr)
+    for g, colors in ((cycle(12), None), (path(3), None), (rr, ec.colors)):
+        for x in range(g.n):
+            want = canonical_code(extract_ball(g, x, 0, edge_colors=colors))
+            assert codes_at_radii(g, x, (0,), edge_colors=colors) == {0: want}
+            assert codes_at_radii(g, x, (0,), edge_colors=colors, cache={}) == {0: want}
 
 
 def test_disconnected_ball_codes_are_canonical():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,16 +16,20 @@ from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_edge_list, to_edge_list
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     # an absolute path, so the child imports this package from any cwd
     src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "qhdecomp.cli", *args],
+        [sys.executable, *args],
         cwd=cwd,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "qhdecomp.cli", *args], cwd)
 
 
 @pytest.fixture
@@ -184,6 +189,34 @@ def test_convergence_report(workdir):
     assert main(["convergence", "--specs", str(specs), "--radius", "2",
                  "--out", str(lone)]) == 1
     assert not lone.exists()
+
+
+def test_decompose_signature_radius_zero_pinned(workdir):
+    # every radius-0 ball is the root alone; sha256 of the partition file
+    # bytes, taken before codes_at_radii keyed its cache by the largest ball
+    g = workdir / "g.el"
+    assert main(["generate", "--kind", "cycle", "--params", "12", "--out", str(g)]) == 0
+    part = workdir / "p.json"
+    assert main(["decompose", "--input", str(g), "--delta", "1/10", "--lambda", "3/10",
+                 "--kmax", "2", "--signature-radius", "0", "--out", str(part)]) == 0
+    digest = hashlib.sha256(part.read_bytes()).hexdigest()
+    assert digest == "104e93385f35d99a442024ea4ad296046791503756ddf56fe44b3cacf3f236b5"
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["coloring_convergence.py", "--sizes", "6,8", "--radius", "2"],
+     "pair        plain d_s   colored d_s"),
+    (["convergence_experiment.py", "--radius", "1"], "== tori LxL (R=1, tail <= 1/2) =="),
+    (["planted_recovery.py", "--seeds", "1"],
+     "seed bridges deleted  d_s(part,torus)  d_s(part,regular)  verdict"),
+])
+def test_experiment_scripts_run(workdir, argv, header):
+    proc = run_python([os.path.join(SCRIPTS, argv[0]), *argv[1:]], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert header in proc.stdout.splitlines()
 
 
 def test_manifest_written_and_replays(workdir):
