@@ -21,6 +21,13 @@ Code byte layout (all integers little-endian):
 The root is always canonical vertex 0.  The layout decodes uniquely, so
 distinct structures always produce distinct codes; equal structures produce
 equal codes by the canonicalization below.
+
+A census (``codes_at_radii`` over every vertex) canonicalizes each kind of
+ball once.  A ball that is a tree is keyed by its root's AHU branch form
+(``BranchForms``, one table per decorated graph), so isomorphic tree balls
+share one entry however they are numbered; any other ball is keyed by the
+raw numbered ball.  Either way the code bytes come from ``canonical_code``
+run on the first ball of each key.
 """
 
 from __future__ import annotations
@@ -65,9 +72,52 @@ def extract_ball(
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
 
 
+class BranchForms:
+    """AHU branch forms of one graph under fixed labels and edge colours,
+    interned as ints and filled lazily (Aho, Hopcroft and Ullman 1974).
+
+    The form of the directed edge ``(u, w)`` at depth k is the id of the
+    tuple ``(k, label of w, colour of uw, *sorted forms of (w, y) at depth
+    k - 1 for y != u)``.  The radius-r form of a root x is the tuple ``(r,
+    label of x, *sorted forms of (x, w) at depth r - 1)``.  Two roots share
+    a radius-r form exactly when their depth-r unfoldings (non-backtracking
+    walks from the root, as a rooted tree) are isomorphic, and a ball that
+    is a tree is its unfolding.  ``codes`` maps the root form of a tree
+    ball to its canonical code.
+    """
+
+    def __init__(self, g: Graph, labels=None, label_width: int = 0, edge_colors=None):
+        self._adj = g.adjacency
+        self._labels = labels
+        self._mask = (1 << label_width) - 1
+        self._colors = edge_colors
+        self._ids: dict[tuple, int] = {}
+        self._edges: dict[tuple[int, int, int], int] = {}
+        self.codes: dict[tuple, bytes] = {}
+
+    def _label(self, v: int) -> int:
+        return 0 if self._labels is None else self._labels[v] & self._mask
+
+    def root(self, x: int, r: int) -> tuple:
+        if r == 0:
+            return (0, self._label(x))
+        return (r, self._label(x), *sorted([self._edge(x, w, r - 1) for w in self._adj[x]]))
+
+    def _edge(self, u: int, w: int, k: int) -> int:
+        key = (u, w, k)
+        form = self._edges.get(key)
+        if form is None:
+            kids = sorted([self._edge(w, y, k - 1) for y in self._adj[w] if y != u]) if k else ()
+            colors = self._colors
+            color = 0 if colors is None else colors[(u, w) if u < w else (w, u)]
+            ids = self._ids
+            form = self._edges[key] = ids.setdefault((k, self._label(w), color, *kids), len(ids))
+        return form
+
+
 def codes_at_radii(
     g: Graph, x: int, radii, labels=None, label_width: int = 0, edge_colors=None,
-    cache: dict | None = None,
+    cache: dict | None = None, forms: BranchForms | None = None,
 ) -> dict[int, bytes]:
     """Canonical codes of the balls around ``x`` for several radii at once.
 
@@ -77,23 +127,45 @@ def codes_at_radii(
     at those radii (the ball determines every smaller ball), so one probe
     usually answers a call.  On a miss the radii are walked down to the
     largest hit, and only the balls above it are canonicalized and stored.
+
+    ``forms``, built for ``g`` with the same labels and colours, keys tree
+    balls by their root form instead: once the walk down reaches a tree
+    ball, it and every smaller ball take their codes from ``forms.codes``
+    and skip the raw cache.
     """
     rs = tuple(sorted(set(radii)))
     full = _reindex(g, x, rs[-1], labels, label_width, edge_colors)
     codes: list[bytes] = []
     missed = []
+    trees = 0
     for i in range(len(rs) - 1, -1, -1):
         view = _prefix(full, rs[i])
+        rows = view[0]
+        if forms is not None and sum(map(len, rows)) == 2 * len(rows) - 2:
+            # a connected ball with |B| - 1 edges is a tree, and so is
+            # every smaller ball around the same root
+            trees = i + 1
+            break
         key = (rs[: i + 1], label_width) + view
         found = None if cache is None else cache.get(key)
         if found is not None:
             codes += found
             break
         missed.append((key, view))
+    # the largest ball's colours serve every smaller ball: its ids are a
+    # prefix, and canonicalization looks up only the ball's own edges
+    colors = None
+    for r in rs[:trees]:
+        form = forms.root(x, r)
+        code = forms.codes.get(form)
+        if code is None:
+            colors = colors or _color_map(full[0], full[3])
+            rows, ball_labels, _ = _prefix(full, r)
+            code = canonical_code(_ball(g, rows, r, ball_labels, label_width, colors))
+            forms.codes[form] = code
+        codes.append(code)
     if missed:
-        # the largest ball's colours serve every smaller ball: its ids are
-        # a prefix, and canonicalization looks up only the ball's own edges
-        colors = _color_map(full[0], full[3])
+        colors = colors or _color_map(full[0], full[3])
         for key, (rows, ball_labels, _) in reversed(missed):
             ball = _ball(g, rows, rs[len(codes)], ball_labels, label_width, colors)
             codes.append(canonical_code(ball))

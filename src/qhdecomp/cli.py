@@ -45,6 +45,16 @@ def _read_graph(path: str) -> graph.Graph:
         return graph.from_edge_list(fh.read())
 
 
+def _note_resolution(radius: int, delta: Fraction) -> None:
+    """A verdict at radius R rules out only subsets with d_s > delta + 2^-R;
+    say so on stderr when that tail is not below delta."""
+    tail = Fraction(1, 2 ** radius)
+    if tail >= delta:
+        print(f"note: tail 2^-{radius} = {tail} is not below delta = {delta}; "
+              f"without a witness, only subsets with d_s > {delta + tail} are ruled out",
+              file=sys.stderr)
+
+
 def _manifest(args, subcommand: str) -> reports.ManifestWriter:
     return reports.ManifestWriter(subcommand, args.raw_argv)
 
@@ -307,6 +317,7 @@ def _cmd_check_quasihom(args) -> int:
         verdict = quasihom.check_exact(g, p)
     else:
         verdict = quasihom.falsify_heuristic(g, p, args.budget, args.seed)
+    _note_resolution(p.R, p.delta)
     doc = reports.quasihom_verdict_to_json(verdict, p)
     print(f"status: {verdict.status}"
           + (f", witness size {len(verdict.witness)}" if verdict.witness else ""))
@@ -332,7 +343,9 @@ def _cmd_decompose(args) -> int:
             g, p, args.delta, args.lam, args.epsilon, args.radius,
             dec.MODE_HEURISTIC, args.threshold_mode, args.budget, args.seed,
         )
-        doc["verdict"] = reports.partition_verdict_to_json(verdict)
+        _note_resolution(args.radius, args.delta)
+        # the partition schema leaves its embedded verdict unchecked
+        doc["verdict"] = reports.validate_document(reports.partition_verdict_to_json(verdict))
     reports.write_json(args.out, doc)
     mw.add_output(args.out)
     _finish(mw, args, args.out)
@@ -355,6 +368,7 @@ def _cmd_verify_partition(args) -> int:
         g, p, args.delta, args.lam, args.epsilon, args.radius,
         args.mode, args.threshold_mode, args.budget, args.seed,
     )
+    _note_resolution(args.radius, args.delta)
     print(f"passed: {verdict.passed} (deleted_ok={verdict.deleted_ok}, "
           f"empty_ok={verdict.empty_part_ok}, sizes_ok={verdict.sizes_ok}, "
           f"quasihom_ok={verdict.parts_quasihom_ok})")

@@ -110,8 +110,9 @@ def decompose(
 
 def _vertex_codes(g: Graph, M: int) -> list[bytes]:
     cache: dict = {}
+    forms = balls.BranchForms(g)
     return [
-        balls.codes_at_radii(g, v, (M,), cache=cache)[M] for v in range(g.n)
+        balls.codes_at_radii(g, v, (M,), cache=cache, forms=forms)[M] for v in range(g.n)
     ]
 
 

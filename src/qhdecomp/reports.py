@@ -1,9 +1,11 @@
 """JSON report documents, their schemas, and run manifests.
 
 Every document carries ``format_version`` and ``kind`` and validates
-against a schema shipped under ``qhdecomp/schemas``.  Rationals are
-serialized as integer num/den pairs plus a convenience decimal string;
-the decimal is never read back.
+against a schema shipped under ``qhdecomp/schemas``.  Each document is
+validated once on each side: ``write_json`` checks it before writing, and
+each reader checks what it reads.  The ``*_to_json`` writers only build
+documents.  Rationals are serialized as integer num/den pairs plus a
+convenience decimal string; the decimal is never read back.
 """
 
 from __future__ import annotations
@@ -66,12 +68,8 @@ def rational(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "decimal": format(float(x), ".12g")}
 
 
-def read_rational(doc: dict) -> Fraction:
-    return Fraction(doc["num"], doc["den"])
-
-
 def stat_vector_to_json(s: StatVector) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "stat_vector",
         "R": s.R,
@@ -86,7 +84,7 @@ def stat_vector_to_json(s: StatVector) -> dict:
             }
             for r in range(1, s.R + 1)
         ],
-    })
+    }
 
 
 def stat_vector_from_json(doc: dict) -> StatVector:
@@ -101,22 +99,20 @@ def stat_vector_from_json(doc: dict) -> StatVector:
 
 
 def distance_to_json(value: Fraction, tail: Fraction) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "distance",
         "value": rational(value),
         "tail": rational(tail),
-    })
+    }
 
 
 def scalar_to_json(kind: str, value: Fraction, **extra) -> dict:
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "value": rational(value)}
-    doc.update(extra)
-    return validate_document(doc)
+    return {"format_version": FORMAT_VERSION, "kind": kind, "value": rational(value), **extra}
 
 
 def quasihom_verdict_to_json(v: QuasihomVerdict, p: QuasihomParams) -> dict:
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "quasihom_verdict",
         "status": v.status,
@@ -131,7 +127,6 @@ def quasihom_verdict_to_json(v: QuasihomVerdict, p: QuasihomParams) -> dict:
         "near_misses": v.near_misses,
         "candidates_checked": v.candidates_checked,
     }
-    return validate_document(doc)
 
 
 def _witness_stats_json(ws: WitnessStats | None):
@@ -147,14 +142,14 @@ def _witness_stats_json(ws: WitnessStats | None):
 
 
 def partition_to_json(p: Partition) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "partition",
         "n": p.n,
         "K": p.K,
         "assignment": list(p.assignment),
         "deleted_edges": [list(e) for e in p.deleted_edges],
-    })
+    }
 
 
 def partition_from_json(doc: dict) -> Partition:
@@ -168,7 +163,7 @@ def partition_from_json(doc: dict) -> Partition:
 
 
 def partition_verdict_to_json(v: PartitionVerdict) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "partition_verdict",
         "passed": v.passed,
@@ -190,11 +185,11 @@ def partition_verdict_to_json(v: PartitionVerdict) -> dict:
             }
             for pc in v.parts
         ],
-    })
+    }
 
 
 def edge_coloring_to_json(g_n: int, vc: VertexColoring, ec: EdgeColoring) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "edge_coloring",
         "n": g_n,
@@ -207,7 +202,7 @@ def edge_coloring_to_json(g_n: int, vc: VertexColoring, ec: EdgeColoring) -> dic
         "edges": [
             {"u": u, "v": v, "c": c} for (u, v), c in sorted(ec.colors.items())
         ],
-    })
+    }
 
 
 def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
@@ -216,7 +211,7 @@ def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
 
 
 def splitting_to_json(rep: SplittingReport) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "splitting",
         "K": rep.K,
@@ -237,11 +232,11 @@ def splitting_to_json(rep: SplittingReport) -> dict:
             str(i): [rational(v) for v in vals]
             for i, vals in sorted(rep.part_drift.items())
         },
-    })
+    }
 
 
 def convergence_to_json(rep) -> dict:
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "convergence",
         "R": rep.R,
@@ -253,7 +248,7 @@ def convergence_to_json(rep) -> dict:
         ],
         "consecutive": [rational(v) for v in rep.consecutive],
         "consecutive_nonincreasing": rep.consecutive_nonincreasing,
-    })
+    }
 
 
 def atlas_to_json(census: dict[bytes, int], r: int) -> dict:
@@ -269,12 +264,12 @@ def atlas_to_json(census: dict[bytes, int], r: int) -> dict:
             "count": count,
             "witness_adjacency": [list(nbrs) for nbrs in ball.graph.adjacency],
         })
-    return validate_document({
+    return {
         "format_version": FORMAT_VERSION,
         "kind": "atlas",
         "r": r,
         "entries": entries,
-    })
+    }
 
 
 class ManifestWriter:
@@ -314,12 +309,13 @@ class ManifestWriter:
 
     def finish(self, path) -> dict:
         self.doc["wall_time_s"] = round(time.monotonic() - self._start, 6)
-        validate_document(self.doc)
         write_json(path, self.doc)
         return self.doc
 
 
 def write_json(path, doc: dict) -> None:
+    """Validate ``doc`` against its kind's schema, then write it."""
+    validate_document(doc)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

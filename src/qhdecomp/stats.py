@@ -55,9 +55,12 @@ def stat_vector(
         raise EmptyGraphError("statistics of the empty graph are undefined")
     counts: list[dict[bytes, int]] = [{} for _ in range(R)]
     cache: dict = {}
+    forms = balls.BranchForms(g, labels, label_width, edge_colors)
     rng = range(1, R + 1)
     for x in range(g.n):
-        codes = balls.codes_at_radii(g, x, rng, labels, label_width, edge_colors, cache)
+        codes = balls.codes_at_radii(
+            g, x, rng, labels, label_width, edge_colors, cache, forms
+        )
         for r in rng:
             c = codes[r]
             counts[r - 1][c] = counts[r - 1].get(c, 0) + 1

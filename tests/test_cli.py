@@ -133,6 +133,28 @@ def test_check_quasihom_verdict_json(workdir):
     assert doc["status"] == "holds_exact"
 
 
+def test_coarse_radius_is_noted_on_stderr(workdir, capsys):
+    # a verdict at radius R rules out only subsets with d_s > delta + 2^-R;
+    # the three verdict commands say so once when 2^-R >= delta
+    g = workdir / "g.el"
+    main(["generate", "--kind", "cycle", "--params", "12", "--out", str(g)])
+    part = workdir / "p.json"
+    main(["decompose", "--input", str(g), "--delta", "1/10", "--lambda", "3/10",
+          "--kmax", "2", "--signature-radius", "1", "--out", str(part)])
+    common = ["--input", str(g), "--delta", "1/10", "--lambda", "3/10",
+              "--epsilon", "1/12", "--budget", "20"]
+    for radius, notes in (("3", 1), ("4", 0)):
+        for argv in (
+            ["check-quasihom", *common, "--radius", radius],
+            ["verify-partition", *common, "--radius", radius, "--partition", str(part)],
+            ["decompose", *common, "--radius", radius, "--kmax", "2",
+             "--signature-radius", "1", "--out", str(workdir / "q.json")],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().err.count("note: tail 2^-") == notes, argv
+
+
 def test_decompose_verify_pipeline(workdir):
     spec = workdir / "spec.json"
     spec.write_text(json.dumps({

@@ -76,6 +76,26 @@ def test_agglomerate_matches_reference():
             assert _agglomerate(g, codes, classes, K_max) == expected, (name, K_max)
 
 
+def test_mixed_part_violation_shows_only_at_radius_three():
+    # M=1 signatures put the whole torus and 82 regular vertices in one
+    # part.  Inside it the torus has boundary 2; at R=2 its d_s, 0.225,
+    # is below delta + 1/4, so the part passes, while at R=3 it exceeds
+    # delta + 1/8 and the falsifier certifies the violation.
+    spec = FamilySpec(
+        "bridged_union",
+        parts=(FamilySpec("grid_torus", (10, 10)), FamilySpec("random_regular", (100, 4))),
+        bridges=2,
+    )
+    g = generate(spec)
+    delta, lam, eps = Fraction(1, 10), Fraction(3, 10), Fraction(1, 20)
+    p = decompose(g, delta, lam, 2, 1, 0)
+    assert sorted(p.part_sizes().values()) == [18, 182]
+    at2 = verify_partition(g, p, delta, lam, eps, 2, budget=1500, seed=0)
+    at3 = verify_partition(g, p, delta, lam, eps, 3, budget=1500, seed=0)
+    assert at2.passed and not at3.passed
+    assert [pc.quasihom.status for pc in at3.parts if pc.size == 182] == ["violated"]
+
+
 def test_decompose_torus_single_part():
     p = decompose(torus(8, 8), Fraction(1, 10), Fraction(3, 10), 3, 1)
     assert p.K == 1 and not p.deleted_edges
