@@ -25,14 +25,23 @@ equal codes by the canonicalization below.
 A census (``codes_at_radii`` over every vertex) canonicalizes each kind of
 ball once.  A ball that is a tree is keyed by its root's AHU branch form
 (``BranchForms``, one table per decorated graph), so isomorphic tree balls
-share one entry however they are numbered; any other ball is keyed by the
-raw numbered ball.  Either way the code bytes come from ``canonical_code``
-run on the first ball of each key.
+share one entry however they are numbered; the BFS finds the largest radius
+at which the ball is a tree from its per-layer degree sums, so a tree ball
+whose form is known is never reindexed.  Any other ball is keyed by the raw
+numbered ball.  Either way the code bytes come from ``canonical_code`` run
+on the first ball of each key.
+
+``canonical_code`` strips pendant trees into AHU forms that carry their
+sizes, refines the remaining core by splitters (each round recomputes only
+the cells next to a cell that split in the round before, which gives the
+partitions a full round gives), searches it, and writes the code in one
+pass: the core in canonical order, then the pendant trees in preorder of
+their forms.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from struct import pack
@@ -68,7 +77,8 @@ def extract_ball(
     host edge colors map (u, v) with u < v to small ints.  Both are
     restricted to the ball.
     """
-    rows, _, ball_labels, ups = _reindex(g, x, r, labels, label_width, edge_colors)
+    index, ends, _ = _bfs(g, x, r)
+    rows, _, ball_labels, ups = _reindex(g, index, ends, labels, label_width, edge_colors)
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
 
 
@@ -121,31 +131,29 @@ def codes_at_radii(
 ) -> dict[int, bytes]:
     """Canonical codes of the balls around ``x`` for several radii at once.
 
-    One BFS and one reindexing to max(radii); smaller balls are prefixes
-    of that ball.  ``cache`` may be shared across vertices and calls.  It
-    maps a raw radius-r ball and the requested radii up to r to the codes
-    at those radii (the ball determines every smaller ball), so one probe
-    usually answers a call.  On a miss the radii are walked down to the
-    largest hit, and only the balls above it are canonicalized and stored.
+    One BFS and at most one reindexing to max(radii); smaller balls are
+    prefixes of that ball.  ``cache`` may be shared across vertices and
+    calls.  It maps a raw radius-r ball and the requested radii up to r to
+    the codes at those radii (the ball determines every smaller ball), so
+    one probe usually answers a call.  On a miss the radii are walked down
+    to the largest hit, and only the balls above it are canonicalized and
+    stored.
 
     ``forms``, built for ``g`` with the same labels and colours, keys tree
-    balls by their root form instead: once the walk down reaches a tree
-    ball, it and every smaller ball take their codes from ``forms.codes``
-    and skip the raw cache.
+    balls by their root form instead: the balls up to the largest tree
+    radius the BFS finds take their codes from ``forms.codes`` and skip the
+    raw cache, and when they are all the balls asked for and every form is
+    known, the ball is never reindexed.
     """
     rs = tuple(sorted(set(radii)))
-    full = _reindex(g, x, rs[-1], labels, label_width, edge_colors)
+    index, ends, tree = _bfs(g, x, rs[-1])
+    trees = 0 if forms is None else bisect_right(rs, tree)
+    full = None
     codes: list[bytes] = []
     missed = []
-    trees = 0
-    for i in range(len(rs) - 1, -1, -1):
+    for i in range(len(rs) - 1, trees - 1, -1):
+        full = full or _reindex(g, index, ends, labels, label_width, edge_colors)
         view = _prefix(full, rs[i])
-        rows = view[0]
-        if forms is not None and sum(map(len, rows)) == 2 * len(rows) - 2:
-            # a connected ball with |B| - 1 edges is a tree, and so is
-            # every smaller ball around the same root
-            trees = i + 1
-            break
         key = (rs[: i + 1], label_width) + view
         found = None if cache is None else cache.get(key)
         if found is not None:
@@ -155,10 +163,11 @@ def codes_at_radii(
     # the largest ball's colours serve every smaller ball: its ids are a
     # prefix, and canonicalization looks up only the ball's own edges
     colors = None
-    for r in rs[:trees]:
+    for r in rs[len(codes):trees]:
         form = forms.root(x, r)
         code = forms.codes.get(form)
         if code is None:
+            full = full or _reindex(g, index, ends, labels, label_width, edge_colors)
             colors = colors or _color_map(full[0], full[3])
             rows, ball_labels, _ = _prefix(full, r)
             code = canonical_code(_ball(g, rows, r, ball_labels, label_width, colors))
@@ -174,26 +183,45 @@ def codes_at_radii(
     return dict(zip(rs, codes))
 
 
-def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int]]:
+def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int], int]:
     """Host -> ball index of the radius-r ball around ``x``, numbered by
-    (distance, id), and ``ends``: ``ends[d]`` members lie at distance < d."""
+    (distance, id); ``ends``: ``ends[d]`` members lie at distance < d; and
+    the largest s <= r whose ball is a tree.
+
+    The degree sum of layer d >= 1 counts its edges to layer d - 1 (at
+    least one per member), twice its inner edges, and its edges to layer
+    d + 1 (at least one per member there).  It equals the two layers' sizes
+    exactly when each member of layers d and d + 1 has one parent and layer
+    d has no inner edge.  While that holds for layers 1..d - 1, the ball to
+    d is a tree exactly when layer d has no inner edge either, which is
+    checked once, on the last such layer.
+    """
     adj = g.adjacency
     index = {x: 0}
     ends = [0, 1]
-    layer = (x,)
-    for _ in range(r):
-        layer = sorted({w for v in layer for w in adj[v]}.difference(index))
-        for w in layer:
+    layer = top = [x]
+    known = 0
+    for d in range(r):
+        nxt = sorted({w for v in layer for w in adj[v]}.difference(index))
+        if known == d and (
+            d == 0 or sum(map(len, map(adj.__getitem__, layer))) == len(layer) + len(nxt)
+        ):
+            known = d + 1
+            top = nxt
+        for w in nxt:
             index[w] = len(index)
         ends.append(len(index))
-    return index, ends
+        layer = nxt
+    members = set(top)
+    if any(not members.isdisjoint(adj[v]) for v in top):
+        known -= 1
+    return index, ends, known
 
 
-def _reindex(g, x, r, labels, label_width, edge_colors):
-    """Sorted neighbour-id rows of the radius-r ball around ``x``, the
-    ``ends`` of ``_bfs``, the members' labels and, per row, the colours of
-    its edges to higher ids (``None`` without labels or colours)."""
-    index, ends = _bfs(g, x, r)
+def _reindex(g, index, ends, labels, label_width, edge_colors):
+    """Sorted neighbour-id rows of the ball ``index`` found by ``_bfs``,
+    its ``ends``, the members' labels and, per row, the colours of its
+    edges to higher ids (``None`` without labels or colours)."""
     adj = g.adjacency
     # visiting members in id order appends each row's ids in sorted order
     rows: list = [[] for _ in index]
@@ -248,7 +276,9 @@ def canonical_code(ball: RootedBall) -> bytes:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
-    return _serialize(ball, _canonical_order(ball))
+    core, dist, form = _strip_pendants(ball)
+    heads = core if len(core) == 1 else _canonical_order(ball, core, dist, form)
+    return _serialize(ball, heads, form)
 
 
 # --- canonicalization -------------------------------------------------------
@@ -256,21 +286,31 @@ def canonical_code(ball: RootedBall) -> bytes:
 # Pendant trees are stripped and folded into attachment-vertex labels via
 # their AHU forms, so backtracking only ever runs on the 2-core (plus the
 # root and its path to the core).  A tree ball strips down to the root and
-# needs no search at all.
+# needs no search at all.  The canonical order is the core in the order the
+# search picks, then each core vertex's pendant trees in preorder of its
+# form, so the pendant vertices are serialized straight from the forms.
+#
+# The core is coloured by distance and pendant forms, then refined to an
+# equitable partition.  Each refinement round ranks vertices by their old
+# colour, then by their sorted neighbour colours, but recomputes the
+# neighbour signatures only of cells next to a cell that split in the round
+# before (McKay 1981; McKay and Piperno 2014): a cell with no such neighbour
+# sees its neighbours' colours renamed in order, so it cannot split.  Each
+# round therefore yields the same ordered partition as a full round.
 
-def _canonical_order(ball: RootedBall) -> list[int]:
+def _strip_pendants(ball: RootedBall):
+    """Core vertices, distances from the root, and AHU forms of ``ball``.
+
+    A vertex's form is ``(label, ((edge colour, child form), ...), size)``
+    over its stripped children in canonical order, ``size`` being the
+    vertex count of its pendant subtree.  The size is fixed by the label
+    and the children, so it never decides a comparison between forms.
+    """
     g = ball.graph
     n = g.n
     nbrs = g.adjacency
     labels = ball.labels
     colors = ball.edge_colors
-
-    if colors is None:
-        def ecol(u, v):
-            return 0
-    else:
-        def ecol(u, v):
-            return colors[(u, v) if u < v else (v, u)]
 
     dist = [n + 1] * n
     dist[0] = 0
@@ -288,82 +328,55 @@ def _canonical_order(ball: RootedBall) -> list[int]:
 
     # A pendant vertex lies farther from the root than its attachment
     # vertex, so in reverse BFS order its own pendant children are already
-    # stripped when it is reached.  hang[v] collects (edge color, form,
-    # child) for the stripped children of v; the root is never stripped.
-    # Sorting breaks ties by child id only between equal forms, i.e.
-    # isomorphic subtrees, so the tie-break never reaches the code bytes.
+    # stripped when it is reached.  hang[v] collects (edge color, form) for
+    # the stripped children of v; the root is never stripped.
     hang: list[list[tuple]] = [[] for _ in range(n)]
     form: list[tuple] = [()] * n
     stripped = [False] * n
     for v in reversed(bfs):
         kids = hang[v]
-        kids.sort()
-        form[v] = (
-            labels[v] if labels is not None else 0,
-            tuple((ec, f) for ec, f, _ in kids),
-        )
+        size = 1
+        if kids:
+            kids.sort()
+            for _, f in kids:
+                size += f[2]
+        form[v] = (labels[v] if labels is not None else 0, tuple(kids), size)
         p = parent[v]
         if p >= 0 and len(nbrs[v]) - len(kids) == 1:
-            hang[p].append((ecol(p, v), form[v], v))
+            hang[p].append((0 if colors is None else colors[(p, v) if p < v else (v, p)], form[v]))
             stripped[v] = True
+    return [v for v in range(n) if not stripped[v]], dist, form
 
-    core = [v for v in range(n) if not stripped[v]]
-    if len(core) == 1:
-        return _expand_pendants(core, hang)
+
+def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
+    """The core in canonical order: the least candidate over the leaves of
+    the individualization-refinement search tree."""
+    nbrs = ball.graph.adjacency
+    colors = ball.edge_colors
+
+    if colors is None:
+        def ecol(u, v):
+            return 0
+    else:
+        def ecol(u, v):
+            return colors[(u, v) if u < v else (v, u)]
+
     core_pos = {v: i for i, v in enumerate(core)}
     k = len(core)
     core_nbrs: list[list[int]] = [[] for _ in range(k)]
     for v in core:
         for w in nbrs[v]:
-            if not stripped[w]:
+            if w in core_pos:
                 core_nbrs[core_pos[v]].append(core_pos[w])
+    core_ecol = None if colors is None else [
+        [ecol(core[i], core[j]) for j in core_nbrs[i]] for i in range(k)
+    ]
 
     # a core vertex's form is its label plus its sorted pendant forms
     init = [(dist[v], form[v]) for v in core]
     ranks = {key: i for i, key in enumerate(sorted(set(init)))}
     coloring = [ranks[init[i]] for i in range(k)]
     init_rank = tuple(coloring)
-
-    if colors is None:
-        def refine(cols):
-            ncls = len(set(cols))
-            while True:
-                keys = [
-                    (cols[i], tuple(sorted(cols[j] for j in core_nbrs[i])))
-                    for i in range(k)
-                ]
-                uniq = sorted(set(keys))
-                if len(uniq) == ncls:
-                    return cols
-                mapping = {key: i for i, key in enumerate(uniq)}
-                cols = [mapping[key] for key in keys]
-                ncls = len(uniq)
-    else:
-        core_ecol = [
-            [ecol(core[i], core[j]) for j in core_nbrs[i]] for i in range(k)
-        ]
-
-        def refine(cols):
-            ncls = len(set(cols))
-            while True:
-                keys = []
-                for i in range(k):
-                    ec = core_ecol[i]
-                    sig = sorted(
-                        (ec[t], cols[j]) for t, j in enumerate(core_nbrs[i])
-                    )
-                    keys.append((cols[i], tuple(sig)))
-                uniq = sorted(set(keys))
-                if len(uniq) == ncls:
-                    return cols
-                mapping = {key: i for i, key in enumerate(uniq)}
-                cols = [mapping[key] for key in keys]
-                ncls = len(uniq)
-
-    def individualize(cols, i):
-        out = [2 * c + 1 for c in cols]
-        out[i] = 2 * cols[i]
-        return refine(out)
 
     def candidate_bytes(order):
         # core adjacency + edge colors + initial ranks under the order;
@@ -418,51 +431,123 @@ def _canonical_order(ball: RootedBall) -> list[int]:
             if skip:
                 continue
             tried.append(v)
-            search(individualize(cols, v), prefix + (v,))
+            # individualize v: its cell is the only one that split
+            out = [2 * c + 1 for c in cols]
+            out[v] = 2 * target
+            search(_refine(out, core_nbrs, core_ecol, cell), prefix + (v,))
 
-    search(refine(coloring), ())
-    return _expand_pendants([core[i] for i in best[1]], hang)
+    search(_refine(coloring, core_nbrs, core_ecol), ())
+    return [core[i] for i in best[1]]
 
 
-def _expand_pendants(heads: list[int], hang) -> list[int]:
-    """``heads`` followed by their pendant trees, depth-first, in canonical
-    attachment order."""
-    order = list(heads)
-    for h in heads:
-        stack = [c for _, _, c in reversed(hang[h])]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            if hang[v]:
-                stack.extend([c for _, _, c in reversed(hang[v])])
-    return order
+def _refine(cols, nbrs, ecols=None, split=None) -> list[int]:
+    """Equitable refinement of the colouring ``cols``.
+
+    Every round gives each vertex the rank of (its colour, the sorted
+    colours of its neighbours, each paired with the edge's colour when
+    ``ecols`` holds them), until a round splits no cell.  Returns ``cols``
+    itself when the first round splits nothing, else the ranks of the last
+    round.  ``split`` lists the vertices of the cells that split just before
+    this call (``None``: any cell may split); only cells next to them are
+    recomputed in the first round, and only cells next to a cell that split
+    in each later round.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, c in enumerate(cols):
+        groups.setdefault(c, []).append(i)
+    cells = [groups[c] for c in sorted(groups)]
+    cell = [0] * len(cols)
+    for c, members in enumerate(cells):
+        for i in members:
+            cell[i] = c
+    dirty = range(len(cells)) if split is None else {cell[j] for i in split for j in nbrs[i]}
+    out = cols
+    while True:
+        parts = {}
+        for c in dirty:
+            members = cells[c]
+            if len(members) == 1:
+                continue
+            sigs: dict[tuple, list[int]] = {}
+            for i in members:
+                if ecols is None:
+                    sig = tuple(sorted([cell[j] for j in nbrs[i]]))
+                else:
+                    sig = tuple(sorted(zip(ecols[i], [cell[j] for j in nbrs[i]])))
+                sigs.setdefault(sig, []).append(i)
+            if len(sigs) > 1:
+                parts[c] = [sigs[sig] for sig in sorted(sigs)]
+        if not parts:
+            return out
+        # cells keep their order, a split cell's parts take its place, and
+        # the cells from the first split on are renumbered
+        lo = min(parts)
+        renumbered = cells[:lo]
+        for c in range(lo, len(cells)):
+            renumbered += parts.get(c) or (cells[c],)
+        cells = renumbered
+        for c in range(lo, len(cells)):
+            for i in cells[c]:
+                cell[i] = c
+        out = cell
+        dirty = {cell[j] for c in parts for part in parts[c] for i in part for j in nbrs[i]}
 
 
 # --- serialization -----------------------------------------------------------
 
-def _serialize(ball: RootedBall, order: list[int]) -> bytes:
-    g = ball.graph
-    n = g.n
+def _serialize(ball: RootedBall, heads: list[int], form: list[tuple]) -> bytes:
+    """Code bytes of ``ball`` in canonical order: ``heads``, the core in
+    canonical order, then each head's pendant trees in preorder of their
+    forms.  A head's upper neighbours are its later core neighbours, then
+    its pendant children; a pendant vertex's are its children.  Each child
+    comes right after the subtree of the child before."""
+    n = ball.graph.n
+    nbrs = ball.graph.adjacency
     labels, colors = ball.labels, ball.edge_colors
-    pos = [0] * n
-    for p, old in enumerate(order):
-        pos[old] = p
     flags = (labels is not None) | (colors is not None) << 1
     width = ball.label_width if labels is not None else 0
     out = bytearray((_TAG, ball.radius, n & 0xFF, n >> 8, flags, width))
+    label_stream: list[int] = []
     color_stream: list[int] = []
-    for p, old in enumerate(order):
-        ups = sorted([q for q in map(pos.__getitem__, g.adjacency[old]) if q > p])
+    pos = {v: p for p, v in enumerate(heads)}
+    q = len(heads)
+    pendants: list[tuple] = []
+    for p, v in enumerate(heads):
+        label, kids, _ = form[v]
+        label_stream.append(label)
+        ups = sorted([pos[w] for w in nbrs[v] if pos.get(w, -1) > p])
+        if colors is not None:
+            color_stream += [colors[(v, heads[u]) if v < heads[u] else (heads[u], v)] for u in ups]
+        for ec, f in kids:
+            ups.append(q)
+            q += f[2]
+            color_stream.append(ec)
+            pendants.append(f)
         out.append(len(ups))
         out += pack(f"<{len(ups)}H", *ups)
-        if colors is not None:
-            for u in map(order.__getitem__, ups):
-                color_stream.append(colors[(old, u) if old < u else (u, old)])
+    pendants.reverse()
+    p = len(heads)
+    while pendants:
+        label, kids, _ = pendants.pop()
+        p += 1
+        label_stream.append(label)
+        out.append(len(kids))
+        if kids:
+            ups = []
+            q = p
+            for ec, f in kids:
+                ups.append(q)
+                q += f[2]
+                color_stream.append(ec)
+            out += pack(f"<{len(ups)}H", *ups)
+            pendants += reversed([f for _, f in kids])
     if labels is not None:
         nbytes = (width + 7) // 8
-        for old in order:
-            out += (labels[old] << (nbytes * 8 - width)).to_bytes(nbytes, "big")
-    out += pack(f"<{len(color_stream)}H", *color_stream)
+        shift = nbytes * 8 - width
+        for label in label_stream:
+            out += (label << shift).to_bytes(nbytes, "big")
+    if colors is not None:
+        out += pack(f"<{len(color_stream)}H", *color_stream)
     return bytes(out)
 
 

@@ -54,6 +54,16 @@ class Partition:
         return sizes
 
 
+def _check_assignment(g: Graph, p: Partition) -> None:
+    """``p`` must assign each vertex of ``g`` to the leftover part 0 or to
+    one of the parts 1..K."""
+    if p.n != g.n or len(p.assignment) != g.n:
+        raise InconsistentPartitionError("partition host size mismatch")
+    for v, i in enumerate(p.assignment):
+        if not 0 <= i <= p.K:
+            raise InconsistentPartitionError(f"vertex {v} is in part {i}, outside 0..{p.K}")
+
+
 def required_deletions(g: Graph, assignment) -> set[tuple[int, int]]:
     """Edges a partition must delete: cross-part edges and edges whose
     endpoints both sit in the leftover part."""
@@ -270,8 +280,7 @@ def verify_partition(
     exhaustive_cap: int = 20,
 ) -> PartitionVerdict:
     """Check the four decomposition conditions at the declared strength."""
-    if p.n != g.n or len(p.assignment) != g.n:
-        raise InconsistentPartitionError("partition host size mismatch")
+    _check_assignment(g, p)
     host_edges = set(g.edges())
     stored = set(p.deleted_edges)
     if not stored <= host_edges:
@@ -355,6 +364,7 @@ def splitting_diagnostics(seq: list[tuple[Graph, Partition]], R: int) -> Splitti
         raise KMismatchError("partitions disagree on K")
     items: list[SplitItem] = []
     for g, p in seq:
+        _check_assignment(g, p)
         if stored_mismatch := (set(p.deleted_edges) - set(g.edges())):
             raise InconsistentPartitionError(f"alien deleted edges: {stored_mismatch}")
         h = delete_edges(g, p.deleted_edges)

@@ -154,6 +154,9 @@ def partition_to_json(p: Partition) -> dict:
 
 def partition_from_json(doc: dict) -> Partition:
     document_of_kind(doc, "partition")
+    # the partition schema types an embedded verdict only as an object
+    if doc.get("verdict") is not None:
+        document_of_kind(doc["verdict"], "partition_verdict")
     return Partition(
         doc["n"],
         tuple(doc["assignment"]),

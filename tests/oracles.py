@@ -10,17 +10,21 @@ reproduce field for field.  ``codes_at_radii`` is the per-radius ball
 extraction (one ``Graph`` and one raw cache key per radius) that the one-probe
 ``balls.codes_at_radii`` must reproduce code for code and canonicalization
 for canonicalization; it calls ``balls.canonical_code`` itself, since only
-extraction and caching differ between the two.
+extraction and caching differ between the two.  ``canonical_code`` and
+``refine`` are the canonicalizer that ``balls.canonical_code`` must reproduce
+byte for byte, with every refinement round recomputing every cell.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
+from struct import pack
 
 from qhdecomp import balls
 from qhdecomp.balls import RootedBall
+from qhdecomp.errors import FormatError
 from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
 from qhdecomp.quasihom import QuasihomParams, WitnessStats
 from qhdecomp.stats import StatVector, d_s, stat_vector
@@ -389,3 +393,232 @@ def _raw_key(ball: RootedBall):
         ball.label_width,
         None if colors is None else tuple(sorted(colors.items())),
     )
+
+
+# --- the full-round canonicalizer --------------------------------------------
+#
+# ``canonical_code`` below recomputes every cell in every refinement round
+# (``refine``), puts every ball, tree or not, in order with
+# ``_expand_pendants`` and writes it with ``_serialize``.
+# ``balls.canonical_code`` must reproduce its bytes.
+
+
+def canonical_code(ball: RootedBall) -> bytes:
+    if ball.graph.n > 0xFFFF:
+        raise FormatError("ball too large to encode")
+    if ball.radius > 0xFF:
+        raise FormatError("radius too large to encode")
+    return _serialize(ball, _canonical_order(ball))
+
+
+# Pendant trees are stripped and folded into attachment-vertex labels via
+# their AHU forms, so backtracking only ever runs on the 2-core (plus the
+# root and its path to the core).  A tree ball strips down to the root and
+# needs no search at all.
+
+def _canonical_order(ball: RootedBall) -> list[int]:
+    g = ball.graph
+    n = g.n
+    nbrs = g.adjacency
+    labels = ball.labels
+    colors = ball.edge_colors
+
+    if colors is None:
+        def ecol(u, v):
+            return 0
+    else:
+        def ecol(u, v):
+            return colors[(u, v) if u < v else (v, u)]
+
+    dist = [n + 1] * n
+    dist[0] = 0
+    parent = [-1] * n
+    bfs = [0]
+    for v in bfs:
+        for w in nbrs[v]:
+            if dist[w] > n:
+                dist[w] = dist[v] + 1
+                parent[w] = v
+                bfs.append(w)
+    if len(bfs) < n:
+        # unreachable vertices have no parent, so they stay in the core
+        bfs += [v for v in range(n) if dist[v] > n]
+
+    # A pendant vertex lies farther from the root than its attachment
+    # vertex, so in reverse BFS order its own pendant children are already
+    # stripped when it is reached.  hang[v] collects (edge color, form,
+    # child) for the stripped children of v; the root is never stripped.
+    # Sorting breaks ties by child id only between equal forms, i.e.
+    # isomorphic subtrees, so the tie-break never reaches the code bytes.
+    hang: list[list[tuple]] = [[] for _ in range(n)]
+    form: list[tuple] = [()] * n
+    stripped = [False] * n
+    for v in reversed(bfs):
+        kids = hang[v]
+        kids.sort()
+        form[v] = (
+            labels[v] if labels is not None else 0,
+            tuple((ec, f) for ec, f, _ in kids),
+        )
+        p = parent[v]
+        if p >= 0 and len(nbrs[v]) - len(kids) == 1:
+            hang[p].append((ecol(p, v), form[v], v))
+            stripped[v] = True
+
+    core = [v for v in range(n) if not stripped[v]]
+    if len(core) == 1:
+        return _expand_pendants(core, hang)
+    core_pos = {v: i for i, v in enumerate(core)}
+    k = len(core)
+    core_nbrs: list[list[int]] = [[] for _ in range(k)]
+    for v in core:
+        for w in nbrs[v]:
+            if not stripped[w]:
+                core_nbrs[core_pos[v]].append(core_pos[w])
+
+    # a core vertex's form is its label plus its sorted pendant forms
+    init = [(dist[v], form[v]) for v in core]
+    ranks = {key: i for i, key in enumerate(sorted(set(init)))}
+    coloring = [ranks[init[i]] for i in range(k)]
+    init_rank = tuple(coloring)
+
+    core_ecol = None if colors is None else [
+        [ecol(core[i], core[j]) for j in core_nbrs[i]] for i in range(k)
+    ]
+
+    def individualize(cols, i):
+        out = [2 * c + 1 for c in cols]
+        out[i] = 2 * cols[i]
+        return refine(out, core_nbrs, core_ecol)
+
+    def candidate_bytes(order):
+        # core adjacency + edge colors + initial ranks under the order;
+        # ties are exactly label/color-respecting core automorphisms
+        pos = [0] * k
+        for p, i in enumerate(order):
+            pos[i] = p
+        rows = []
+        for p in range(k):
+            i = order[p]
+            ups = sorted(
+                (pos[j], ecol(core[i], core[j]))
+                for j in core_nbrs[i]
+                if pos[j] > p
+            )
+            rows.append((init_rank[i], tuple(ups)))
+        return tuple(rows)
+
+    best: list = [None, None]
+    autos: list[tuple[int, ...]] = []
+
+    def search(cols, prefix):
+        counts = Counter(cols)
+        target = None
+        for c in sorted(counts):
+            if counts[c] > 1:
+                target = c
+                break
+        if target is None:
+            order = sorted(range(k), key=cols.__getitem__)
+            data = candidate_bytes(order)
+            if best[0] is None or data < best[0]:
+                best[0] = data
+                best[1] = order
+            elif data == best[0] and len(autos) < balls._MAX_AUTOMORPHISMS:
+                ref = best[1]
+                sigma = [0] * k
+                for i in range(k):
+                    sigma[ref[i]] = order[i]
+                autos.append(tuple(sigma))
+            return
+        cell = [i for i in range(k) if cols[i] == target]
+        tried: list[int] = []
+        for v in cell:
+            skip = False
+            for sigma in autos:
+                if any(sigma[p] != p for p in prefix):
+                    continue
+                if any(sigma[u] == v for u in tried):
+                    skip = True
+                    break
+            if skip:
+                continue
+            tried.append(v)
+            search(individualize(cols, v), prefix + (v,))
+
+    search(refine(coloring, core_nbrs, core_ecol), ())
+    return _expand_pendants([core[i] for i in best[1]], hang)
+
+
+def _expand_pendants(heads: list[int], hang) -> list[int]:
+    """``heads`` followed by their pendant trees, depth-first, in canonical
+    attachment order."""
+    order = list(heads)
+    for h in heads:
+        stack = [c for _, _, c in reversed(hang[h])]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            if hang[v]:
+                stack.extend([c for _, _, c in reversed(hang[v])])
+    return order
+
+
+def _serialize(ball: RootedBall, order: list[int]) -> bytes:
+    g = ball.graph
+    n = g.n
+    labels, colors = ball.labels, ball.edge_colors
+    pos = [0] * n
+    for p, old in enumerate(order):
+        pos[old] = p
+    flags = (labels is not None) | (colors is not None) << 1
+    width = ball.label_width if labels is not None else 0
+    out = bytearray((balls._TAG, ball.radius, n & 0xFF, n >> 8, flags, width))
+    color_stream: list[int] = []
+    for p, old in enumerate(order):
+        ups = sorted([q for q in map(pos.__getitem__, g.adjacency[old]) if q > p])
+        out.append(len(ups))
+        out += pack(f"<{len(ups)}H", *ups)
+        if colors is not None:
+            for u in map(order.__getitem__, ups):
+                color_stream.append(colors[(old, u) if old < u else (u, old)])
+    if labels is not None:
+        nbytes = (width + 7) // 8
+        for old in order:
+            out += (labels[old] << (nbytes * 8 - width)).to_bytes(nbytes, "big")
+    out += pack(f"<{len(color_stream)}H", *color_stream)
+    return bytes(out)
+
+
+def refine(cols, core_nbrs, core_ecol):
+    """Colour refinement with every cell recomputed in every round: ranks of
+    (colour, sorted neighbour colours), to a fixed point."""
+    k = len(cols)
+    if core_ecol is None:
+        ncls = len(set(cols))
+        while True:
+            keys = [
+                (cols[i], tuple(sorted(cols[j] for j in core_nbrs[i])))
+                for i in range(k)
+            ]
+            uniq = sorted(set(keys))
+            if len(uniq) == ncls:
+                return cols
+            mapping = {key: i for i, key in enumerate(uniq)}
+            cols = [mapping[key] for key in keys]
+            ncls = len(uniq)
+    ncls = len(set(cols))
+    while True:
+        keys = []
+        for i in range(k):
+            ec = core_ecol[i]
+            sig = sorted(
+                (ec[t], cols[j]) for t, j in enumerate(core_nbrs[i])
+            )
+            keys.append((cols[i], tuple(sig)))
+        uniq = sorted(set(keys))
+        if len(uniq) == ncls:
+            return cols
+        mapping = {key: i for i, key in enumerate(uniq)}
+        cols = [mapping[key] for key in keys]
+        ncls = len(uniq)

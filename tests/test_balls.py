@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhdecomp import balls
+from qhdecomp import balls, quasihom
 from qhdecomp.balls import (
     RootedBall,
     canonical_code,
@@ -331,6 +331,120 @@ def test_colored_ball_codes_distinguish_colors():
     c = canonical_code(extract_ball(g, 1, 1, edge_colors=c3))
     assert a == b
     assert a != c
+
+
+def _symmetric_cores():
+    """Cycles, K3,3 and the Petersen graph, bare and with a pendant path at
+    every vertex: cores with large automorphism groups."""
+    k33 = validate([(i, j) for i in range(3) for j in range(3, 6)], 6, 3)
+    petersen = validate(
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10, 3
+    )
+    out = [cycle(6), cycle(9), k33, petersen]
+    for g in list(out):
+        n = g.n
+        tails = [(v, n + v) for v in range(n)] + [(n + v, 2 * n + v) for v in range(n)]
+        edges = list(g.edges()) + tails
+        out.append(validate(edges, 3 * n, g.degree_bound + 1))
+    return out
+
+
+def _refinement_corpus():
+    """Balls whose canonicalization runs the refinement: tori, plain,
+    labelled and edge-coloured random-regular balls, symmetric cores, and a
+    disconnected decoded ball."""
+    for a, b in ((5, 6), (6, 6), (7, 8), (8, 8)):
+        for r in (1, 2, 3, 4):
+            yield extract_ball(torus(a, b), 0, r)
+    rr = generate(FamilySpec("random_regular", (60, 3), seed=4))
+    _, ec = color_edges(rr)
+    bl = random_b_labels(rr, 2, seed=5)
+    for x in range(0, rr.n, 3):
+        for r in (2, 3, 4):
+            yield extract_ball(rr, x, r)
+            yield extract_ball(rr, x, r, bl.values, 2)
+            yield extract_ball(rr, x, r, edge_colors=ec.colors)
+    for g in _symmetric_cores():
+        _, gc = color_edges(g)
+        for x in (0, g.n - 1):
+            for r in (1, 2, 3, 4):
+                yield extract_ball(g, x, r)
+                yield extract_ball(g, x, r, edge_colors=gc.colors)
+    # the root alone, an edge and a triangle, one end of the edge labelled
+    apart = from_adjacency([[], [2], [1], [4, 5], [3, 5], [3, 4]], 2)
+    yield RootedBall(apart, 1, (0, 0, 1, 0, 0, 0), 1)
+
+
+def test_refinement_matches_full_rounds(monkeypatch):
+    # every refinement call returns the list the full-round refinement
+    # returns, so the search tree and every code are unchanged
+    calls = Counter()
+    real = balls._refine
+
+    def checked(cols, nbrs, ecols=None, split=None):
+        got = real(cols, nbrs, ecols, split)
+        assert got == oracles.refine(cols, nbrs, ecols)
+        calls[split is None] += 1
+        return got
+
+    monkeypatch.setattr(balls, "_refine", checked)
+    for ball in _refinement_corpus():
+        assert canonical_code(ball) == oracles.canonical_code(ball)
+    assert calls[True] > 100 and calls[False] > 100
+
+
+def test_tree_codes_match_expand_and_serialize():
+    # tree balls are serialized from the root form in one preorder pass;
+    # the reference orders them with _expand_pendants and serializes that
+    rr = generate(FamilySpec("random_regular", (80, 3), seed=6))
+    star = from_adjacency([list(range(1, 7))] + [[0]] * 6, 6)
+    trees = 0
+    for g in (rr, generate(FamilySpec("d_ary_tree", (3, 3))), path(8), star):
+        _, gc = color_edges(g)
+        for width in (0, 1, 3, 9):
+            labels = None if width == 0 else random_b_labels(g, width, seed=width).values
+            for colors in (None, gc.colors):
+                for x in range(0, g.n, 5):
+                    for r in (0, 1, 2, 3):
+                        ball = extract_ball(g, x, r, labels, width, colors)
+                        if ball.graph.edge_count() == ball.n - 1:
+                            trees += 1
+                            assert balls._strip_pendants(ball)[0] == [0]
+                        assert canonical_code(ball) == oracles.canonical_code(ball)
+    assert trees > 500
+
+
+def _bfs_hosts():
+    """Hosts whose balls stop being trees in different ways: a triangle
+    closing in the last layer, a vertex with two parents in the last layer,
+    an edge inside the last layer, and the form-table corpus."""
+    triangle = validate([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)], 5, 3)
+    square = validate([(5, 4), (4, 0), (0, 1), (0, 2), (1, 3), (2, 3)], 6, 3)
+    pentagon = cycle(5)
+    return [triangle, square, pentagon] + [g for g, _, _, _ in _form_hosts()]
+
+
+def test_bfs_tree_radius_matches_edge_count():
+    # the tree radius _bfs reads off its layers is the largest s <= r whose
+    # ball has |B_s| - 1 edges, and _bfs still numbers by (distance, id)
+    for g in _bfs_hosts():
+        for x in range(g.n):
+            for r in range(5):
+                index, ends, tree = balls._bfs(g, x, r)
+                members, layer = oracles._bfs_members(g, x, r)
+                assert list(index) == members
+                assert ends == [0] + [sum(layer[v] <= s for v in members) for s in range(r + 1)]
+                want = max(
+                    s for s in range(r + 1)
+                    if oracles._ball_from_members(
+                        g, [v for v in members if layer[v] <= s], s, layer, None, 0, None
+                    ).graph.edge_count() == ends[s + 1] - 1
+                )
+                assert tree == want
+    # the subset evaluator's ball members keep that order
+    ev = quasihom._SubsetEvaluator(_form_hosts()[0][0], 3)
+    assert ev.members == [tuple(oracles._bfs_members(ev.g, v, 3)[0]) for v in range(ev.g.n)]
 
 
 # sha256 over the code bytes of the corpus below.  Persisted StatVector and

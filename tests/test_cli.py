@@ -266,6 +266,54 @@ def test_exit_codes(workdir):
     assert proc.returncode == 2
 
 
+def _cycle_and_path_files(workdir, assignment, K, verdict=None):
+    """C20 + P20 as ``g.el`` and a partition of it, with no deleted edge,
+    as ``p.json``."""
+    edges = [(i, (i + 1) % 20) for i in range(20)] + [(i, i + 1) for i in range(20, 39)]
+    (workdir / "g.el").write_text("40 2\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    doc = {"format_version": 1, "kind": "partition", "n": 40, "K": K,
+           "assignment": assignment, "deleted_edges": []}
+    if verdict is not None:
+        doc["verdict"] = verdict
+    (workdir / "p.json").write_text(json.dumps(doc))
+
+
+_VERIFY = ["verify-partition", "--input", "g.el", "--partition", "p.json", "--delta", "1/10",
+           "--lambda", "3/10", "--epsilon", "1/20", "--radius", "4", "--out", "v.json"]
+_SPLIT = ["split-diagnostics", "--inputs", "g.el", "--partitions", "p.json", "--radius", "2",
+          "--out", "s.json"]
+
+
+def test_bad_assignments_exit_cleanly(workdir):
+    # part 9 with K = 1 used to be skipped: verify-partition passed on part
+    # 1 alone, and split-diagnostics failed on the mixture weights
+    _cycle_and_path_files(workdir, [1] * 20 + [9] * 20, 1)
+    for argv in (_VERIFY, _SPLIT):
+        proc = run_cli(argv, cwd=workdir)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "vertex 20 is in part 9, outside 0..1" in proc.stderr
+    assert not (workdir / "v.json").exists() and not (workdir / "s.json").exists()
+    # split-diagnostics used to end in a traceback on a short assignment
+    _cycle_and_path_files(workdir, [1] * 30, 1)
+    proc = run_cli(_SPLIT, cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "partition host size mismatch" in proc.stderr
+    # the same split with ids in range fails verification without an error
+    _cycle_and_path_files(workdir, [1] * 20 + [2] * 20, 2)
+    proc = run_cli(_VERIFY, cwd=workdir)
+    assert proc.returncode == 0 and "passed: False" in proc.stdout
+
+
+def test_malformed_embedded_verdict_exits_cleanly(workdir):
+    verdict = {"format_version": 1, "kind": "partition_verdict"}
+    _cycle_and_path_files(workdir, [1] * 20 + [2] * 20, 2, verdict)
+    proc = run_cli(_VERIFY, cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "partition_verdict" in proc.stderr
+    assert not (workdir / "v.json").exists()
+
+
 # argv, expected exit code, a word the error message must name
 BAD_ARGV = {
     "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1, "kind"),

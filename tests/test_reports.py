@@ -144,3 +144,19 @@ def test_write_json_refuses_invalid_documents(tmp_path):
     with pytest.raises(FormatError, match="invalid distance document"):
         reports.write_json(out, doc)
     assert not out.exists()
+
+
+def test_partition_reader_checks_embedded_verdict():
+    c12 = cycle(12)
+    part = decompose(c12, Fraction(1, 10), Fraction(3, 10), 2, 1)
+    verdict = verify_partition(c12, part, Fraction(1, 10), Fraction(3, 10), Fraction(1, 12), 2,
+                               budget=50)
+    doc = reports.partition_to_json(part)
+    doc["verdict"] = reports.partition_verdict_to_json(verdict)
+    assert reports.partition_from_json(doc) == part
+    del doc["verdict"]["passed"]
+    with pytest.raises(FormatError, match="invalid partition_verdict document"):
+        reports.partition_from_json(doc)
+    doc["verdict"] = {"kind": "distance"}
+    with pytest.raises(FormatError, match="expected a partition_verdict document"):
+        reports.partition_from_json(doc)
