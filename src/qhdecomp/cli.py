@@ -45,6 +45,22 @@ def _read_graph(path: str) -> graph.Graph:
         return graph.from_edge_list(fh.read())
 
 
+def _read_edge_colors(path: str, g: graph.Graph) -> dict[tuple[int, int], int]:
+    """The colors of an edge_coloring document that lists each edge of
+    ``g`` exactly once, as ``u < v``, and no other pair."""
+    doc = reports.read_json(path)
+    colors = reports.edge_colors_from_json(doc)
+    if len(colors) != len(doc["edges"]):
+        raise FormatError(f"{path} lists an edge twice")
+    edges = set(g.edges())
+    missing, extra = sorted(edges - colors.keys()), sorted(colors.keys() - edges)
+    if extra:
+        raise FormatError(f"{path} colors {extra[0]}, which is not an edge u < v of the graph")
+    if missing:
+        raise FormatError(f"{path} leaves the graph edge {missing[0]} uncolored")
+    return colors
+
+
 def _note_resolution(radius: int, delta: Fraction) -> None:
     """A verdict at radius R rules out only subsets with d_s > delta + 2^-R;
     say so on stderr when that tail is not below delta."""
@@ -224,7 +240,7 @@ def _cmd_stats(args) -> int:
     mw.add_input(args.input)
     edge_colors = None
     if args.colors:
-        edge_colors = reports.edge_colors_from_json(reports.read_json(args.colors))
+        edge_colors = _read_edge_colors(args.colors, g)
         mw.add_input(args.colors)
     mw.record(radius=args.radius)
     s = stats.stat_vector(g, args.radius, edge_colors=edge_colors)

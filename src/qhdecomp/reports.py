@@ -3,14 +3,20 @@
 Every document carries ``format_version`` and ``kind`` and validates
 against a schema shipped under ``qhdecomp/schemas``.  Each document is
 validated once on each side: ``write_json`` checks it before writing, and
-each reader checks what it reads.  The ``*_to_json`` writers only build
-documents.  Rationals are serialized as integer num/den pairs plus a
+each reader checks what it reads.  Each kind's schema is compiled once
+into a checker that accepts exactly what ``jsonschema`` accepts;
+``jsonschema`` itself runs only on a document the checker rejects, where
+it has the final say and words the error.  The ``*_to_json`` writers only
+build documents.  Rationals are serialized as integer num/den pairs plus a
 convenience decimal string; the decimal is never read back.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
+import re
 import time
 from fractions import Fraction
 from importlib import resources
@@ -27,16 +33,19 @@ from .stats import StatVector
 FORMAT_VERSION = 1
 
 _VALIDATORS: dict = {}
+_CHECKS: dict = {}
 
 
 def _validator(kind: str):
     """The schema validator of one document kind, checked and built once
-    (``jsonschema.validate`` re-checks the schema on every call)."""
+    (``jsonschema.validate`` re-checks the schema on every call), together
+    with the kind's compiled checker in ``_CHECKS``."""
     if kind not in _VALIDATORS:
         ref = resources.files("qhdecomp.schemas").joinpath(f"{kind}.schema.json")
         schema = json.loads(ref.read_text())
         cls = validator_for(schema)
         cls.check_schema(schema)
+        _CHECKS[kind] = _compile_schema(schema)
         _VALIDATORS[kind] = cls(schema)
     return _VALIDATORS[kind]
 
@@ -49,7 +58,10 @@ def validate_document(doc: dict) -> dict:
         validator = _validator(kind)
     except FileNotFoundError:
         raise FormatError(f"unknown document kind {kind!r}")
-    # the error jsonschema.validate would raise
+    if _CHECKS[kind](doc):
+        return doc
+    # jsonschema decides what the compiled check rejects, with the error
+    # jsonschema.validate would raise
     error = best_match(validator.iter_errors(doc))
     if error is not None:
         raise FormatError(f"invalid {kind} document: {error.message}")
@@ -62,6 +74,158 @@ def document_of_kind(doc: dict, kind: str) -> dict:
     if found != kind:
         raise FormatError(f"expected a {kind} document, got {found!r}")
     return validate_document(doc)
+
+
+# --- the compiled checker -----------------------------------------------------
+
+# draft 2020-12 types; bool is no integer or number, and 1.0 is an integer
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "integer": lambda x: type(x) is int or not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: type(x) is int or type(x) is float or not isinstance(x, bool)
+    and isinstance(x, numbers.Number),
+}
+# the keywords of the shipped schemas; "$schema", "title" and "$defs" add
+# no check of their own
+_COMPILED = {
+    "$schema", "title", "$defs", "type", "const", "enum", "$ref", "minimum",
+    "exclusiveMinimum", "pattern", "minItems", "maxItems", "items", "required",
+    "properties", "additionalProperties",
+}
+
+
+def _compile_schema(schema):
+    """A predicate that accepts exactly the instances ``jsonschema``'s draft
+    2020-12 validator accepts.  It covers the keywords in ``_COMPILED``; a
+    schema with any other keyword raises ``ValueError`` here, so no keyword
+    is ever silently ignored."""
+    return _compile(schema, schema, {})
+
+
+def _compile(schema, root: dict, refs: dict):
+    if isinstance(schema, bool):
+        return (lambda x: True) if schema else (lambda x: False)
+    unknown = schema.keys() - _COMPILED
+    if unknown:
+        raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
+    checks = []
+    declared = None
+    if "type" in schema:
+        declared = schema["type"]
+        declared = {declared} if isinstance(declared, str) else set(declared)
+        tests = [_TYPES[t] for t in sorted(declared)]
+        checks.append(tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests))
+
+    def applies(types, guard, keyword_checks):
+        # keyword checks see only values of their types, and other values
+        # pass them; after a type check that admits no other type, they
+        # need no guard of their own
+        if not keyword_checks:
+            return
+        if declared and declared <= types:
+            checks.extend(keyword_checks)
+        else:
+            body = _all(keyword_checks)
+            checks.append(lambda x: not guard(x) or body(x))
+
+    if "const" in schema:
+        checks.append(_equals(schema["const"]))
+    if "enum" in schema:
+        options = [_equals(v) for v in schema["enum"]]
+        checks.append(lambda x: any(e(x) for e in options))
+    if "$ref" in schema:
+        checks.append(_ref(schema["$ref"], root, refs))
+    number = []
+    if "minimum" in schema:
+        low = schema["minimum"]
+        number.append(lambda x: not x < low)
+    if "exclusiveMinimum" in schema:
+        above = schema["exclusiveMinimum"]
+        number.append(lambda x: not x <= above)
+    applies({"integer", "number"}, _TYPES["number"], number)
+    string = []
+    if "pattern" in schema:
+        search = re.compile(schema["pattern"]).search
+        string.append(lambda x: search(x) is not None)
+    applies({"string"}, _TYPES["string"], string)
+    array = []
+    if "minItems" in schema:
+        min_items = schema["minItems"]
+        array.append(lambda x: not len(x) < min_items)
+    if "maxItems" in schema:
+        max_items = schema["maxItems"]
+        array.append(lambda x: not len(x) > max_items)
+    if "items" in schema:
+        item = _compile(schema["items"], root, refs)
+        array.append(lambda x: all(map(item, x)))
+    applies({"array"}, _TYPES["array"], array)
+    obj = []
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        obj.append(lambda x: x.keys() >= required)
+    properties = schema.get("properties", {})
+    if properties:
+        props = [(k, _compile(sub, root, refs)) for k, sub in properties.items()]
+
+        def each_property(x):
+            for k, check in props:
+                if k in x and not check(x[k]):
+                    return False
+            return True
+
+        obj.append(each_property)
+    if "additionalProperties" in schema:
+        extra = _compile(schema["additionalProperties"], root, refs)
+        obj.append(lambda x: all(extra(v) for k, v in x.items() if k not in properties))
+    applies({"object"}, _TYPES["object"], obj)
+    return _all(checks)
+
+
+def _all(checks: list):
+    if not checks:
+        return lambda x: True
+    if len(checks) == 1:
+        return checks[0]
+    if len(checks) == 2:
+        first, second = checks
+        return lambda x: first(x) and second(x)
+
+    def every(x):
+        for check in checks:
+            if not check(x):
+                return False
+        return True
+
+    return every
+
+
+def _equals(value):
+    """JSON equality with ``value`` as ``jsonschema`` decides it: ``True``
+    is not ``1`` and ``False`` is not ``0``, but ``1.0`` is ``1``."""
+    if value is None or isinstance(value, bool):
+        return lambda x: x is value
+    if isinstance(value, (str, int, float)):
+        return lambda x: x is not True and x is not False and x == value
+    raise ValueError(f"no compiled check for const or enum value {value!r}")
+
+
+def _ref(pointer: str, root: dict, refs: dict):
+    """A check that looks the target up when it runs, so a schema may refer
+    to itself."""
+    if not pointer.startswith("#"):
+        raise ValueError(f"no compiled check for $ref {pointer!r} outside the schema")
+    if pointer not in refs:
+        refs[pointer] = None  # compiling; a reference back to it resolves later
+        target = root
+        for part in pointer[1:].split("/")[1:]:
+            target = target[part.replace("~1", "/").replace("~0", "~")]
+        refs[pointer] = _compile(target, root, refs)
+    return lambda x: refs[pointer](x)
 
 
 def rational(x: Fraction) -> dict:
@@ -88,14 +252,33 @@ def stat_vector_to_json(s: StatVector) -> dict:
 
 
 def stat_vector_from_json(doc: dict) -> StatVector:
+    """The StatVector of a document whose layers are radii 1..R in order,
+    each a distribution: no code listed twice, frequencies summing to 1."""
     document_of_kind(doc, "stat_vector")
+    R = int(doc["R"])
+    if len(doc["radii"]) != R:
+        raise FormatError(f"stat_vector has R = {R} but {len(doc['radii'])} radii layers")
     radii = []
-    for layer in doc["radii"]:
-        radii.append({
-            bytes.fromhex(e["code_hex"]): Fraction(e["num"], e["den"])
-            for e in layer["entries"]
-        })
-    return StatVector(doc["R"], tuple(radii), doc.get("n"))
+    for r, layer in enumerate(doc["radii"], 1):
+        if layer["r"] != r:
+            raise FormatError(f"stat_vector layer {r} is marked r = {layer['r']}")
+        entries = layer["entries"]
+        dist = {
+            bytes.fromhex(e["code_hex"]): Fraction(int(e["num"]), int(e["den"]))
+            for e in entries
+        }
+        if len(dist) != len(entries):
+            raise FormatError(f"stat_vector layer r = {r} lists a code twice")
+        # an integer sum over the common denominator; a Fraction sum costs
+        # a gcd per term
+        common = math.lcm(*(f.denominator for f in dist.values()))
+        total = sum(f.numerator * (common // f.denominator) for f in dist.values())
+        if total != common:
+            raise FormatError(f"stat_vector layer r = {r} frequencies sum to "
+                              f"{Fraction(total, common)}, not 1")
+        radii.append(dist)
+    n = doc.get("n")
+    return StatVector(R, tuple(radii), n if n is None else int(n))
 
 
 def distance_to_json(value: Fraction, tail: Fraction) -> dict:

@@ -266,6 +266,89 @@ def test_exit_codes(workdir):
     assert proc.returncode == 2
 
 
+def _spoil_r3(doc):
+    doc["R"] = 3
+
+
+def _swap_layers(doc):
+    doc["radii"].reverse()
+
+
+def _sum_to_5(doc):
+    doc["radii"][0]["entries"][0]["num"] *= 5
+
+
+def _code_twice(doc):
+    # two halves of the one radius-1 code: the layer still sums to 1
+    entry = doc["radii"][0]["entries"][0]
+    entry["num"], entry["den"] = 1, 2
+    doc["radii"][0]["entries"].append(dict(entry))
+
+
+# malformed StatVector documents of cycle(8) at R = 2 and the error each gives
+BAD_STAT_VECTORS = {
+    "R_exceeds_layers": (_spoil_r3, "R = 3 but 2 radii layers"),
+    "layers_swapped": (_swap_layers, "layer 1 is marked r = 2"),
+    "sum_is_5": (_sum_to_5, "frequencies sum to 5, not 1"),
+    "code_twice": (_code_twice, "lists a code twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STAT_VECTORS))
+def test_malformed_stat_vector_exits_cleanly(workdir, case):
+    # these used to end in an IndexError, print d_s = 3/4 between a vector
+    # and its own copy, or pass unnoticed
+    spoil, message = BAD_STAT_VECTORS[case]
+    main(["generate", "--kind", "cycle", "--params", "8", "--out", str(workdir / "c.el")])
+    main(["stats", "--input", str(workdir / "c.el"), "--radius", "2",
+          "--out", str(workdir / "s.json")])
+    doc = json.loads((workdir / "s.json").read_text())
+    spoil(doc)
+    reports.validate_document(doc)  # the schema alone accepts it
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    proc = run_cli(["distance", "--a", "bad.json", "--b", "bad.json"], cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert "d_s" not in proc.stdout
+
+
+def _drop_last_edge(doc):
+    doc["edges"].pop()
+
+
+def _reverse_first_edge(doc):
+    e = doc["edges"][0]
+    e["u"], e["v"] = e["v"], e["u"]
+
+
+def _first_edge_twice(doc):
+    doc["edges"].append(dict(doc["edges"][0]))
+
+
+# edge colorings of cycle(8) that do not match its edges, and the error each gives
+BAD_COLORINGS = {
+    "edge_missing": (_drop_last_edge, "leaves the graph edge (6, 7) uncolored"),
+    "edge_reversed": (_reverse_first_edge, "colors (1, 0), which is not an edge u < v"),
+    "edge_twice": (_first_edge_twice, "lists an edge twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COLORINGS))
+def test_mismatched_coloring_exits_cleanly(workdir, case):
+    # a missing or reversed edge used to end in a KeyError traceback
+    spoil, message = BAD_COLORINGS[case]
+    main(["generate", "--kind", "cycle", "--params", "8", "--out", str(workdir / "c.el")])
+    main(["color-edges", "--input", str(workdir / "c.el"), "--out", str(workdir / "k.json")])
+    doc = json.loads((workdir / "k.json").read_text())
+    spoil(doc)
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    proc = run_cli(["stats", "--input", "c.el", "--radius", "2", "--colors", "bad.json",
+                    "--out", "s.json"], cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and message in proc.stderr
+    assert not (workdir / "s.json").exists()
+
+
 def _cycle_and_path_files(workdir, assignment, K, verdict=None):
     """C20 + P20 as ``g.el`` and a partition of it, with no deleted edge,
     as ``p.json``."""

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from importlib import resources
 
@@ -160,3 +161,107 @@ def test_partition_reader_checks_embedded_verdict():
     doc["verdict"] = {"kind": "distance"}
     with pytest.raises(FormatError, match="expected a partition_verdict document"):
         reports.partition_from_json(doc)
+
+
+# values a mutant puts in place of a nested value or under a surplus key
+_SWAPS = [None, True, False, 0, -1, 1.0, 2.5, 10 ** 30, "", [], {}]
+# surplus keys: an unknown name, and optional properties some schemas type
+_SURPLUS = ["surplus", "n", "tail", "decimal", "verdict", "witness_stats", "parts", "seed"]
+
+
+def _paths(node, path=()):
+    """The path of every value nested in ``node``, ``node`` itself first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def _mutants(draw, corpus):
+    """A corpus document's kind, and the document with one or two nested
+    values swapped, keys deleted or surplus keys added."""
+    doc = copy.deepcopy(draw(st.sampled_from(corpus)))
+    kind = doc["kind"]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        op = draw(st.sampled_from(["swap", "delete", "surplus"]))
+        if op == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == "surplus" and isinstance(parent[path[-1]], dict):
+            key = draw(st.sampled_from(_SURPLUS))
+            parent[path[-1]][key] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_SWAPS)))
+    return kind, doc
+
+
+def test_compiled_checker_agrees_with_jsonschema(tmp_path):
+    corpus = list(_writer_corpus(tmp_path))
+    for doc in corpus:
+        validator = reports._validator(doc["kind"])
+        check = reports._CHECKS[doc["kind"]]
+        assert check(doc) and validator.is_valid(doc)
+        for bad in _broken(doc):
+            assert check(bad) == validator.is_valid(bad), bad
+        for value in _SWAPS:  # no document at all
+            assert not check(value) and not validator.is_valid(value)
+    outcomes = []
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(_mutants(corpus))
+    def agree(mutant):
+        # judged as the kind it was made from, whatever "kind" now holds
+        kind, doc = mutant
+        want = reports._validator(kind).is_valid(doc)
+        assert reports._CHECKS[kind](doc) == want, (kind, doc)
+        outcomes.append(want)
+
+    agree()
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 40
+
+
+def test_compiler_refuses_uncovered_keywords():
+    with pytest.raises(ValueError, match="maxLength"):
+        reports._compile_schema({"type": "string", "maxLength": 3})
+    with pytest.raises(ValueError, match="uniqueItems"):
+        reports._compile_schema({"properties": {"a": {"items": {"uniqueItems": True}}}})
+    with pytest.raises(ValueError, match="const or enum value"):
+        reports._compile_schema({"const": [1, 2]})
+
+
+def test_recursive_ref_checks_nested_specs():
+    validator = reports._validator("family_specs")
+    check = reports._CHECKS["family_specs"]
+    inner = {"kind": "cycle", "params": [5]}
+    union = {"kind": "disjoint_union",
+             "parts": [{"kind": "bridged_union", "bridges": 1, "parts": [inner, inner]}]}
+    doc = {"format_version": 1, "kind": "family_specs", "specs": [union]}
+    assert check(doc) and validator.is_valid(doc)
+    spoils = ({"kind": "wheel"}, {"params": [True]}, {"bridges": -1}, {"params": 5},
+              {"parts": [{"params": [3]}]})  # the last part lacks its kind
+    for spoil in spoils:
+        bad = copy.deepcopy(doc)
+        bad["specs"][0]["parts"][0]["parts"][1].update(spoil)
+        assert not check(bad) and not validator.is_valid(bad), spoil
+        with pytest.raises(FormatError, match="invalid family_specs document"):
+            reports.validate_document(bad)
+
+
+def test_stat_vector_reader_takes_integral_floats():
+    # JSON Schema counts 1.0 as an integer, so the schema admits these
+    sv = stat_vector(cycle(8), 2)
+    doc = reports.stat_vector_to_json(sv)
+    doc["R"], doc["n"] = 2.0, 8.0
+    for layer in doc["radii"]:
+        layer["r"] = float(layer["r"])
+        for e in layer["entries"]:
+            e["num"], e["den"] = float(e["num"]), float(e["den"])
+    back = reports.stat_vector_from_json(doc)
+    assert back == sv and type(back.R) is type(back.n) is int
