@@ -22,14 +22,15 @@ The root is always canonical vertex 0.  The layout decodes uniquely, so
 distinct structures always produce distinct codes; equal structures produce
 equal codes by the canonicalization below.
 
-A census (``codes_at_radii`` over every vertex) canonicalizes each kind of
-ball once.  A ball that is a tree is keyed by its root's AHU branch form
-(``BranchForms``, one table per decorated graph), so isomorphic tree balls
-share one entry however they are numbered; the BFS finds the largest radius
-at which the ball is a tree from its per-layer degree sums, so a tree ball
-whose form is known is never reindexed.  Any other ball is keyed by the raw
-numbered ball.  Either way the code bytes come from ``canonical_code`` run
-on the first ball of each key.
+``census`` gives every vertex's codes and canonicalizes each kind of ball
+once; it is the one loop of ``codes_at_radii`` over a whole graph.  A ball
+that is a tree is keyed by its root's AHU branch form (``BranchForms``, one
+table per census, built with the census's labels and colours), so
+isomorphic tree balls share one entry however they are numbered; the BFS
+finds the largest radius at which the ball is a tree from its per-layer
+degree sums, so a tree ball whose form is known is never reindexed.  Any
+other ball is keyed by the raw numbered ball.  Either way the code bytes
+come from ``canonical_code`` run on the first ball of each key.
 
 ``canonical_code`` strips pendant trees into AHU forms that carry their
 sizes, refines the remaining core by splitters (each round recomputes only
@@ -181,6 +182,19 @@ def codes_at_radii(
             if cache is not None:
                 cache[key] = tuple(codes)
     return dict(zip(rs, codes))
+
+
+def census(
+    g: Graph, radii, labels=None, label_width: int = 0, edge_colors=None
+) -> list[tuple[bytes, ...]]:
+    """Every vertex's codes at the sorted ``radii``, from one raw-ball
+    cache and one ``BranchForms`` table shared by all vertices."""
+    cache: dict = {}
+    forms = BranchForms(g, labels, label_width, edge_colors)
+    return [
+        tuple(codes_at_radii(g, x, radii, labels, label_width, edge_colors, cache, forms).values())
+        for x in range(g.n)
+    ]
 
 
 def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int], int]:

@@ -71,12 +71,8 @@ def _note_resolution(radius: int, delta: Fraction) -> None:
               file=sys.stderr)
 
 
-def _manifest(args, subcommand: str) -> reports.ManifestWriter:
-    return reports.ManifestWriter(subcommand, args.raw_argv)
-
-
-def _finish(mw: reports.ManifestWriter, args, primary_out: str | None):
-    path = args.manifest or (primary_out + ".manifest.json" if primary_out else None)
+def _finish(mw: reports.ManifestWriter, args):
+    path = args.manifest or (args.out + ".manifest.json" if args.out else None)
     if path:
         mw.finish(path)
 
@@ -191,24 +187,17 @@ def main(argv=None) -> int:
     if args.subcommand == "decompose" and (args.epsilon is None) != (args.radius is None):
         missing = "--radius" if args.radius is None else "--epsilon"
         parser.error(f"decompose: --epsilon and --radius verify together; {missing} is missing")
-    args.raw_argv = raw
+    mw = reports.ManifestWriter(args.subcommand, raw)
     try:
-        return _dispatch(args)
-    except QhError as exc:
+        code = _HANDLERS[args.subcommand](args, mw)
+        _finish(mw, args)
+        return code
+    except (QhError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
-def _dispatch(args) -> int:
-    handler = _HANDLERS[args.subcommand]
-    return handler(args)
-
-
-def _cmd_generate(args) -> int:
-    mw = _manifest(args, "generate")
+def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
     if args.spec:
         doc = reports.read_json(args.spec)
         if isinstance(doc, dict) and doc.get("kind") == "family_specs":
@@ -229,13 +218,11 @@ def _cmd_generate(args) -> int:
     with open(args.out, "w") as fh:
         fh.write(graph.to_edge_list(g))
     mw.add_output(args.out)
-    _finish(mw, args, args.out)
     print(f"wrote {args.out}: n={g.n} m={g.edge_count()} d={g.degree_bound}")
     return 0
 
 
-def _cmd_stats(args) -> int:
-    mw = _manifest(args, "stats")
+def _cmd_stats(args, mw: reports.ManifestWriter) -> int:
     g = _read_graph(args.input)
     mw.add_input(args.input)
     edge_colors = None
@@ -250,13 +237,11 @@ def _cmd_stats(args) -> int:
         census = {code: int(freq * g.n) for code, freq in s.at(args.radius).items()}
         reports.write_json(args.dump_atlas, reports.atlas_to_json(census, args.radius))
         mw.add_output(args.dump_atlas)
-    _finish(mw, args, args.out)
     print(f"wrote {args.out}: R={args.radius} n={g.n}")
     return 0
 
 
-def _cmd_distance(args) -> int:
-    mw = _manifest(args, "distance")
+def _cmd_distance(args, mw: reports.ManifestWriter) -> int:
     a = reports.stat_vector_from_json(reports.read_json(args.a))
     b = reports.stat_vector_from_json(reports.read_json(args.b))
     mw.add_input(args.a)
@@ -266,12 +251,10 @@ def _cmd_distance(args) -> int:
     if args.out:
         reports.write_json(args.out, reports.distance_to_json(value, tail))
         mw.add_output(args.out)
-    _finish(mw, args, args.out)
     return 0
 
 
-def _cmd_editdist(args) -> int:
-    mw = _manifest(args, "editdist")
+def _cmd_editdist(args, mw: reports.ManifestWriter) -> int:
     a = _read_graph(args.a)
     b = _read_graph(args.b)
     mw.add_input(args.a)
@@ -281,12 +264,10 @@ def _cmd_editdist(args) -> int:
     if args.out:
         reports.write_json(args.out, reports.scalar_to_json("edit_distance", value))
         mw.add_output(args.out)
-    _finish(mw, args, args.out)
     return 0
 
 
-def _cmd_sparse_density(args) -> int:
-    mw = _manifest(args, "sparse-density")
+def _cmd_sparse_density(args, mw: reports.ManifestWriter) -> int:
     pattern = _read_graph(args.pattern)
     host = _read_graph(args.input)
     mw.add_input(args.pattern)
@@ -299,12 +280,10 @@ def _cmd_sparse_density(args) -> int:
             reports.scalar_to_json("sparse_density", value, pattern_vertices=pattern.n),
         )
         mw.add_output(args.out)
-    _finish(mw, args, args.out)
     return 0
 
 
-def _cmd_color_edges(args) -> int:
-    mw = _manifest(args, "color-edges")
+def _cmd_color_edges(args, mw: reports.ManifestWriter) -> int:
     g = _read_graph(args.input)
     mw.add_input(args.input)
     vc, ec = coloring.color_edges(g)
@@ -316,13 +295,11 @@ def _cmd_color_edges(args) -> int:
         with open(args.out_el, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         mw.add_output(args.out_el)
-    _finish(mw, args, args.out)
     print(f"wrote {args.out}: vertex palette <= {vc.palette}, edge palette <= {ec.palette}")
     return 0
 
 
-def _cmd_check_quasihom(args) -> int:
-    mw = _manifest(args, "check-quasihom")
+def _cmd_check_quasihom(args, mw: reports.ManifestWriter) -> int:
     g = _read_graph(args.input)
     mw.add_input(args.input)
     p = quasihom.QuasihomParams(args.epsilon, args.lam, args.delta, args.radius)
@@ -340,12 +317,10 @@ def _cmd_check_quasihom(args) -> int:
     if args.out:
         reports.write_json(args.out, doc)
         mw.add_output(args.out)
-    _finish(mw, args, args.out)
     return 0
 
 
-def _cmd_decompose(args) -> int:
-    mw = _manifest(args, "decompose")
+def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
     g = _read_graph(args.input)
     mw.add_input(args.input)
     mw.record(delta=args.delta, lam=args.lam, kmax=args.kmax,
@@ -364,14 +339,12 @@ def _cmd_decompose(args) -> int:
         doc["verdict"] = reports.validate_document(reports.partition_verdict_to_json(verdict))
     reports.write_json(args.out, doc)
     mw.add_output(args.out)
-    _finish(mw, args, args.out)
     sizes = p.part_sizes()
     print(f"K={p.K} deleted={len(p.deleted_edges)} sizes={dict(sorted(sizes.items()))}")
     return 0
 
 
-def _cmd_verify_partition(args) -> int:
-    mw = _manifest(args, "verify-partition")
+def _cmd_verify_partition(args, mw: reports.ManifestWriter) -> int:
     g = _read_graph(args.input)
     p = reports.partition_from_json(reports.read_json(args.partition))
     mw.add_input(args.input)
@@ -391,12 +364,10 @@ def _cmd_verify_partition(args) -> int:
     if args.out:
         reports.write_json(args.out, reports.partition_verdict_to_json(verdict))
         mw.add_output(args.out)
-    _finish(mw, args, args.out)
     return 0
 
 
-def _cmd_split_diagnostics(args) -> int:
-    mw = _manifest(args, "split-diagnostics")
+def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
     if len(args.inputs) != len(args.partitions):
         raise QhError("--inputs and --partitions must pair up")
     seq = []
@@ -408,13 +379,11 @@ def _cmd_split_diagnostics(args) -> int:
     rep = dec.splitting_diagnostics(seq, args.radius)
     reports.write_json(args.out, reports.splitting_to_json(rep))
     mw.add_output(args.out)
-    _finish(mw, args, args.out)
     print(f"items={len(rep.items)} mixture_exact={[it.mixture_exact for it in rep.items]}")
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    mw = _manifest(args, "convergence")
+def _cmd_convergence(args, mw: reports.ManifestWriter) -> int:
     doc = reports.document_of_kind(reports.read_json(args.specs), "family_specs")
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
     mw.add_input(args.specs)
@@ -422,7 +391,6 @@ def _cmd_convergence(args) -> int:
     rep = families.sequence(specs, args.radius)
     reports.write_json(args.out, reports.convergence_to_json(rep))
     mw.add_output(args.out)
-    _finish(mw, args, args.out)
     print(f"wrote {args.out}: {len(specs)} specs, "
           f"trend nonincreasing: {rep.consecutive_nonincreasing}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import balls
-from .errors import InconsistentPartitionError, KMismatchError
+from .errors import EmptyGraphError, InconsistentPartitionError, KMismatchError
 from .graph import Graph, delete_edges, spanned_subgraph
 from .quasihom import (
     NO_VIOLATION,
@@ -25,7 +25,7 @@ from .quasihom import (
     check_exact,
     falsify_heuristic,
 )
-from .stats import StatVector, d_s, mixture, stat_vector
+from .stats import StatVector, d_s, mixture, stat_vector, tv_numerator
 
 SMOOTHING_MOVE_FACTOR = 10
 
@@ -55,8 +55,10 @@ class Partition:
 
 
 def _check_assignment(g: Graph, p: Partition) -> None:
-    """``p`` must assign each vertex of ``g`` to the leftover part 0 or to
-    one of the parts 1..K."""
+    """``g`` must be nonempty, and ``p`` must assign each of its vertices
+    to the leftover part 0 or to one of the parts 1..K."""
+    if g.n == 0:
+        raise EmptyGraphError("partition conditions of the empty graph are undefined")
     if p.n != g.n or len(p.assignment) != g.n:
         raise InconsistentPartitionError("partition host size mismatch")
     for v, i in enumerate(p.assignment):
@@ -98,7 +100,7 @@ def decompose(
     n = g.n
     if n == 0:
         return Partition(0, (), 0, ())
-    codes = _vertex_codes(g, M)
+    codes = [code for (code,) in balls.census(g, (M,))]
     classes: dict[bytes, list[int]] = {}
     for v, code in enumerate(codes):
         classes.setdefault(code, []).append(v)
@@ -116,14 +118,6 @@ def decompose(
     deleted = sorted(required_deletions(g, assignment))
     partition = Partition(n, tuple(assignment), K, tuple(deleted))
     return absorb_small_parts(g, partition, delta, K, threshold_mode)
-
-
-def _vertex_codes(g: Graph, M: int) -> list[bytes]:
-    cache: dict = {}
-    forms = balls.BranchForms(g)
-    return [
-        balls.codes_at_radii(g, v, (M,), cache=cache, forms=forms)[M] for v in range(g.n)
-    ]
 
 
 def _agglomerate(g, codes, classes, K_max):
@@ -162,9 +156,7 @@ def _agglomerate(g, codes, classes, K_max):
         if ta == 0 or tb == 0:
             tv = Fraction(1) if (ta or tb) else Fraction(0)
         else:
-            # sum_c |a_c/ta - b_c/tb| / 2 over one common denominator
-            diff = sum(abs(a.get(c, 0) * tb - b.get(c, 0) * ta) for c in a.keys() | b.keys())
-            tv = Fraction(diff, 2 * ta * tb)
+            tv = Fraction(tv_numerator(a, ta, b, tb), 2 * ta * tb)
         return (tv, firsts[i], firsts[j], i, j)
 
     live = list(range(len(clusters)))
@@ -277,7 +269,6 @@ def verify_partition(
     threshold_mode: str = THRESHOLD_THEOREM,
     budget: int = 2000,
     seed: int = 0,
-    exhaustive_cap: int = 20,
 ) -> PartitionVerdict:
     """Check the four decomposition conditions at the declared strength."""
     _check_assignment(g, p)
@@ -312,7 +303,7 @@ def verify_partition(
         sizes_ok = sizes_ok and big
         sub, _ = spanned_subgraph(g, p.part_vertices(i))
         if mode == MODE_EXACT:
-            verdict = check_exact(sub, qp, cap=exhaustive_cap)
+            verdict = check_exact(sub, qp)
             ok = verdict.status == HOLDS_EXACT
         else:
             verdict = falsify_heuristic(sub, qp, budget, seed + i)

@@ -23,6 +23,7 @@ from . import balls
 from .errors import EmptyGraphError, TooLargeForExactError, VertexSetMismatchError
 from .graph import Graph, boundary_edge_count, spanned_subgraph
 from .stats import stat_vector  # noqa: F401  (the benchmark's tracer patches this name)
+from .stats import tv_numerator
 
 EXHAUSTIVE_CAP = 20
 # subset evaluators kept for the most recent (graph, R) pairs, so the
@@ -88,11 +89,11 @@ class _SubsetEvaluator:
     Locality: every ball of v in G[S] up to radius R is spanned by
     S ∩ B_G(v, R), so v's codes in G[S] are a function of that set alone,
     and equal v's codes in G when the whole ball lies in S.  The evaluator
-    keeps every vertex's codes in G (radii 1..R), the integer code counts
-    of G, the members of each ball B_G(v, R), a memo of v's codes keyed by
-    which of those members S holds, and one raw-key -> code cache shared
-    by all candidates.  Both caches start over once they pass
-    ``_MAX_CACHED_CODES`` entries.
+    keeps G's census (every vertex's codes at radii 1..R), the integer code
+    counts of G, the members of each ball B_G(v, R), a memo of v's codes
+    keyed by which of those members S holds, and one raw-key -> code cache
+    of subgraph balls shared by all candidates.  Both caches start over
+    once they pass ``_MAX_CACHED_CODES`` entries.
     """
 
     def __init__(self, g: Graph, R: int):
@@ -103,10 +104,7 @@ class _SubsetEvaluator:
         self.radii = range(1, R + 1)
         self.codes: dict = {}
         self.local: dict[tuple[int, bytes], tuple[bytes, ...]] = {}
-        self.base = [
-            tuple(balls.codes_at_radii(g, v, self.radii, cache=self.codes).values())
-            for v in range(g.n)
-        ]
+        self.base = balls.census(g, self.radii)
         self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
         self.members = [tuple(balls._bfs(g, v, R)[0]) for v in range(g.n)]
 
@@ -134,16 +132,14 @@ class _SubsetEvaluator:
                     codes = self.local[v, seen] = tuple(found.values())
             tally[codes] = tally.get(codes, 0) + 1
 
-        # d_s = sum_r 2^-r * TV_r, with TV_r = sum_c |a_c*m - b_c*n| / (2*n*m)
+        # d_s = sum_r 2^-r * TV_r, with TV_r = tv_numerator / (2*n*m)
         n, m = self.g.n, len(subset)
         num = 0
         for i, whole in enumerate(self.base_counts):
             part: dict[bytes, int] = {}
             for codes, count in tally.items():
                 part[codes[i]] = part.get(codes[i], 0) + count
-            acc = sum(abs(a * m - part.pop(c, 0) * n) for c, a in whole.items())
-            acc += sum(part.values()) * n
-            num += acc << (self.R - 1 - i)
+            num += tv_numerator(whole, n, part, m) << (self.R - 1 - i)
         value = Fraction(num, (2 * n * m) << self.R)
         tail = Fraction(1, 2 ** self.R)
         return WitnessStats(
@@ -180,7 +176,7 @@ def _mask_filter(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return sizes, boundary
 
 
-def check_exact(g: Graph, p: QuasihomParams, cap: int = EXHAUSTIVE_CAP) -> QuasihomVerdict:
+def check_exact(g: Graph, p: QuasihomParams) -> QuasihomVerdict:
     """Enumerate every vertex subset; first certified violation wins.
 
     Subsets are scanned in ascending bitmask order.  Candidates whose
@@ -188,8 +184,8 @@ def check_exact(g: Graph, p: QuasihomParams, cap: int = EXHAUSTIVE_CAP) -> Quasi
     uncertified near misses and do not stop the scan.
     """
     n = g.n
-    if n > cap:
-        raise TooLargeForExactError(f"{n} vertices > exhaustive cap {cap}")
+    if n > EXHAUSTIVE_CAP:
+        raise TooLargeForExactError(f"{n} vertices > exhaustive cap {EXHAUSTIVE_CAP}")
     ev = _evaluator(g, p.R)
     s_min = _size_threshold(p, n)
     b_max = _boundary_budget(p, n)
@@ -241,8 +237,10 @@ def falsify_heuristic(
     cut-adjacent vertices.  Never contradicts ``check_exact``: a subset is
     reported only when the same certified-margin predicate holds.
     """
+    if g.n == 0:
+        raise EmptyGraphError("statistics of the empty graph are undefined")
     verdict = QuasihomVerdict(NO_VIOLATION)
-    if budget <= 0 or g.n == 0:
+    if budget <= 0:
         return verdict
     n = g.n
     rng = Random(seed)

@@ -14,7 +14,6 @@ convenience decimal string; the decimal is never read back.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import re
 import time
@@ -28,7 +27,7 @@ from .coloring import EdgeColoring, VertexColoring
 from .decomposer import Partition, PartitionVerdict, SplittingReport
 from .errors import FormatError
 from .quasihom import QuasihomParams, QuasihomVerdict, WitnessStats
-from .stats import StatVector
+from .stats import StatVector, integer_counts
 
 FORMAT_VERSION = 1
 
@@ -269,10 +268,8 @@ def stat_vector_from_json(doc: dict) -> StatVector:
         }
         if len(dist) != len(entries):
             raise FormatError(f"stat_vector layer r = {r} lists a code twice")
-        # an integer sum over the common denominator; a Fraction sum costs
-        # a gcd per term
-        common = math.lcm(*(f.denominator for f in dist.values()))
-        total = sum(f.numerator * (common // f.denominator) for f in dist.values())
+        counts, common = integer_counts(dist)
+        total = sum(counts.values())
         if total != common:
             raise FormatError(f"stat_vector layer r = {r} frequencies sum to "
                               f"{Fraction(total, common)}, not 1")
@@ -340,11 +337,12 @@ def partition_from_json(doc: dict) -> Partition:
     # the partition schema types an embedded verdict only as an object
     if doc.get("verdict") is not None:
         document_of_kind(doc["verdict"], "partition_verdict")
+    # JSON Schema counts 1.0 as an integer, so the schema admits it
     return Partition(
-        doc["n"],
-        tuple(doc["assignment"]),
-        doc["K"],
-        tuple((e[0], e[1]) for e in doc["deleted_edges"]),
+        int(doc["n"]),
+        tuple(map(int, doc["assignment"])),
+        int(doc["K"]),
+        tuple((int(e[0]), int(e[1])) for e in doc["deleted_edges"]),
     )
 
 
@@ -393,7 +391,7 @@ def edge_coloring_to_json(g_n: int, vc: VertexColoring, ec: EdgeColoring) -> dic
 
 def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
     document_of_kind(doc, "edge_coloring")
-    return {(e["u"], e["v"]): e["c"] for e in doc["edges"]}
+    return {(int(e["u"]), int(e["v"])): int(e["c"]) for e in doc["edges"]}
 
 
 def splitting_to_json(rep: SplittingReport) -> dict:

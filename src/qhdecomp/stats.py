@@ -9,10 +9,17 @@ two vectors is
 where TV_r is the total-variation distance between the radius-r code
 distributions.  Radii beyond R contribute at most 2^{-R} in total, which
 is returned as a certified tail bound.  All arithmetic is exact.
+
+Every total-variation distance in the package is ``tv_numerator`` over
+integer counts: a StatVector layer is put over its common denominator by
+``integer_counts``, and the subset evaluator and the partition engine
+count codes as integers to begin with.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -53,29 +60,32 @@ def stat_vector(
 ) -> StatVector:
     if g.n == 0:
         raise EmptyGraphError("statistics of the empty graph are undefined")
-    counts: list[dict[bytes, int]] = [{} for _ in range(R)]
-    cache: dict = {}
-    forms = balls.BranchForms(g, labels, label_width, edge_colors)
-    rng = range(1, R + 1)
-    for x in range(g.n):
-        codes = balls.codes_at_radii(
-            g, x, rng, labels, label_width, edge_colors, cache, forms
-        )
-        for r in rng:
-            c = codes[r]
-            counts[r - 1][c] = counts[r - 1].get(c, 0) + 1
+    columns = zip(*balls.census(g, range(1, R + 1), labels, label_width, edge_colors))
     radii = tuple(
-        {code: Fraction(cnt, g.n) for code, cnt in sorted(layer.items())}
-        for layer in counts
+        {code: Fraction(cnt, g.n) for code, cnt in sorted(Counter(column).items())}
+        for column in columns
     )
     return StatVector(R, radii, g.n)
 
 
+def tv_numerator(a: dict, ta: int, b: dict, tb: int) -> int:
+    """``sum_c |a_c*tb - b_c*ta|`` over integer counts ``a`` and ``b`` with
+    positive totals ``ta`` and ``tb``: ``2*ta*tb`` times the total-variation
+    distance between ``a/ta`` and ``b/tb``."""
+    acc = sum(abs(x * tb - b.get(c, 0) * ta) for c, x in a.items())
+    return acc + sum(y for c, y in b.items() if c not in a) * ta
+
+
+def integer_counts(p: dict[bytes, Fraction]) -> tuple[dict[bytes, int], int]:
+    """Integer counts and their common denominator ``t``, with
+    ``p[c] == counts[c] / t``; an lcm instead of a gcd per term."""
+    t = math.lcm(*(f.denominator for f in p.values()))
+    return {c: f.numerator * (t // f.denominator) for c, f in p.items()}, t
+
+
 def total_variation(p: dict[bytes, Fraction], q: dict[bytes, Fraction]) -> Fraction:
-    acc = Fraction(0)
-    for code in p.keys() | q.keys():
-        acc += abs(p.get(code, Fraction(0)) - q.get(code, Fraction(0)))
-    return acc / 2
+    (a, ta), (b, tb) = integer_counts(p), integer_counts(q)
+    return Fraction(tv_numerator(a, ta, b, tb), 2 * ta * tb)
 
 
 def d_s(a: StatVector, b: StatVector) -> tuple[Fraction, Fraction]:
@@ -112,14 +122,14 @@ def mixture(parts: list[tuple[Fraction, StatVector]]) -> StatVector:
     return StatVector(R, tuple(radii), None)
 
 
-def sparse_density(pattern: Graph, g: Graph, cap: int = PATTERN_VERTEX_CAP) -> Fraction:
+def sparse_density(pattern: Graph, g: Graph) -> Fraction:
     """Number of subgraphs of ``g`` isomorphic to ``pattern``, over |V(g)|.
 
     Subgraphs are counted as vertex-injective embeddings divided by the
     pattern's automorphism count, i.e. distinct edge-set copies.
     """
-    if pattern.n > cap:
-        raise PatternTooLargeError(f"pattern has {pattern.n} > {cap} vertices")
+    if pattern.n > PATTERN_VERTEX_CAP:
+        raise PatternTooLargeError(f"pattern has {pattern.n} > {PATTERN_VERTEX_CAP} vertices")
     if not is_connected(pattern) or pattern.n == 0:
         raise PatternDisconnectedError("pattern must be connected and nonempty")
     if g.n == 0:

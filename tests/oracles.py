@@ -6,7 +6,9 @@ and graph enumeration/deduplication relies on that backtracking only.
 ``agglomerate`` is the plain merge loop that the partition engine's cached
 ``_agglomerate`` must reproduce cluster for cluster, and ``evaluate`` the
 whole-StatVector subset evaluation that ``quasihom``'s shared evaluator must
-reproduce field for field.  ``codes_at_radii`` is the per-radius ball
+reproduce field for field.  ``total_variation`` and ``d_s`` add one
+``Fraction`` per code, the distance that ``stats.d_s`` must reproduce over
+integer counts.  ``codes_at_radii`` is the per-radius ball
 extraction (one ``Graph`` and one raw cache key per radius) that the one-probe
 ``balls.codes_at_radii`` must reproduce code for code and canonicalization
 for canonicalization; it calls ``balls.canonical_code`` itself, since only
@@ -24,10 +26,10 @@ from struct import pack
 
 from qhdecomp import balls
 from qhdecomp.balls import RootedBall
-from qhdecomp.errors import FormatError
+from qhdecomp.errors import FormatError, RadiusMismatchError
 from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
 from qhdecomp.quasihom import QuasihomParams, WitnessStats
-from qhdecomp.stats import StatVector, d_s, stat_vector
+from qhdecomp.stats import StatVector, stat_vector
 
 
 def rooted_isomorphic(b1: RootedBall, b2: RootedBall) -> bool:
@@ -293,6 +295,23 @@ def agglomerate(g, codes, classes, K_max):
         del clusters[j]
         del envs[j]
     return clusters
+
+
+def total_variation(p: dict[bytes, Fraction], q: dict[bytes, Fraction]) -> Fraction:
+    acc = Fraction(0)
+    for code in p.keys() | q.keys():
+        acc += abs(p.get(code, Fraction(0)) - q.get(code, Fraction(0)))
+    return acc / 2
+
+
+def d_s(a: StatVector, b: StatVector) -> tuple[Fraction, Fraction]:
+    """Distance value and the tail bound covering all radii beyond R."""
+    if a.R != b.R:
+        raise RadiusMismatchError(f"mismatched radii: {a.R} vs {b.R}")
+    value = Fraction(0)
+    for r in range(1, a.R + 1):
+        value += Fraction(1, 2 ** r) * total_variation(a.at(r), b.at(r))
+    return value, Fraction(1, 2 ** a.R)
 
 
 def evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessStats:

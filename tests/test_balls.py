@@ -10,12 +10,12 @@ from qhdecomp import balls, quasihom
 from qhdecomp.balls import (
     RootedBall,
     canonical_code,
+    census,
     codes_at_radii,
     decode_code,
     extract_ball,
 )
 from qhdecomp.coloring import color_edges, random_b_labels
-from qhdecomp.decomposer import _vertex_codes
 from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_adjacency, relabel, validate
 from qhdecomp.stats import StatVector, forget_colors, stat_vector
@@ -248,8 +248,8 @@ def _form_hosts():
 
 def test_stat_vector_matches_oracle_loop(monkeypatch):
     # StatVector equal to the old per-radius loop and no more canonical_code
-    # calls per radius; codes_at_radii with a form table equal to the old
-    # path for radii sets the census never asks for
+    # calls per radius; a census equal to the old path for radii sets
+    # stat_vector never asks for
     calls = Counter()
     real = balls.canonical_code
 
@@ -274,20 +274,20 @@ def test_stat_vector_matches_oracle_loop(monkeypatch):
             assert sv == StatVector(R, tuple(
                 {c: Fraction(k, g.n) for c, k in sorted(layer.items())} for layer in counts
             ), g.n)
-        forms = balls.BranchForms(g, labels, width, colors)
-        cache, ref_cache = {}, {}
+        ref_cache = {}
         for radii in ((0,), (3,), (1, 3), (0, 2, 4)):
+            got = census(g, radii, labels, width, colors)
             for x in range(g.n):
-                got = codes_at_radii(g, x, radii, labels, width, colors, cache, forms)
-                assert got == oracles.codes_at_radii(g, x, radii, labels, width, colors, ref_cache)
+                want = oracles.codes_at_radii(g, x, radii, labels, width, colors, ref_cache)
+                assert got[x] == tuple(want.values())
 
 
 def test_vertex_codes_match_uncached_path():
     for g, labels, _, colors in _form_hosts():
         if labels is None and colors is None:
             for M in (0, 1, 2, 3):
-                assert _vertex_codes(g, M) == [
-                    canonical_code(extract_ball(g, v, M)) for v in range(g.n)
+                assert census(g, (M,)) == [
+                    (canonical_code(extract_ball(g, v, M)),) for v in range(g.n)
                 ]
 
 

@@ -397,6 +397,35 @@ def test_malformed_embedded_verdict_exits_cleanly(workdir):
     assert not (workdir / "v.json").exists()
 
 
+_QUASIHOM = ["check-quasihom", "--input", "e.el", "--epsilon", "1/10", "--lambda", "1/2",
+             "--delta", "1/2", "--radius", "1", "--out", "v.json"]
+# runs on the empty graph `0 3` and the K = 0 partition decompose gives it
+EMPTY_GRAPH_ARGV = {
+    "verify_partition": ["verify-partition", "--input", "e.el", "--partition", "p.json",
+                         "--delta", "1/10", "--lambda", "3/10", "--epsilon", "1/20",
+                         "--radius", "2", "--out", "v.json"],
+    "split_diagnostics": ["split-diagnostics", "--inputs", "e.el", "--partitions", "p.json",
+                          "--radius", "2", "--out", "s.json"],
+    "check_quasihom": _QUASIHOM,
+    "check_quasihom_exact": _QUASIHOM + ["--exact"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_GRAPH_ARGV))
+def test_empty_graph_exits_cleanly(workdir, case):
+    # verify-partition and split-diagnostics used to end in a ZeroDivisionError
+    # traceback, and check-quasihom without --exact printed a vacuous
+    # no_violation_found
+    (workdir / "e.el").write_text("0 3\n")
+    assert main(["decompose", "--input", str(workdir / "e.el"), "--delta", "1/10",
+                 "--lambda", "3/10", "--kmax", "2", "--signature-radius", "1",
+                 "--out", str(workdir / "p.json")]) == 0
+    proc = run_cli(EMPTY_GRAPH_ARGV[case], cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "empty graph" in proc.stderr
+    assert not (workdir / "v.json").exists() and not (workdir / "s.json").exists()
+
+
 # argv, expected exit code, a word the error message must name
 BAD_ARGV = {
     "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1, "kind"),

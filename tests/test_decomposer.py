@@ -5,7 +5,6 @@ import pytest
 from qhdecomp.decomposer import (
     MODE_EXACT,
     _agglomerate,
-    _vertex_codes,
     Partition,
     THRESHOLD_PROOF,
     THRESHOLD_THEOREM,
@@ -16,6 +15,7 @@ from qhdecomp.decomposer import (
     splitting_diagnostics,
     verify_partition,
 )
+from qhdecomp.balls import census
 from qhdecomp.errors import InconsistentPartitionError, KMismatchError
 from qhdecomp.families import FamilySpec, generate, generate_detailed
 from qhdecomp.graph import delete_edges, from_adjacency
@@ -23,6 +23,11 @@ from qhdecomp.stats import d_s, stability_ds_bound, stat_vector
 
 from conftest import cycle, torus
 from oracles import agglomerate
+
+
+def _vertex_codes(g, M):
+    # the signatures decompose clusters: every vertex's radius-M code
+    return [code for (code,) in census(g, (M,))]
 
 
 def _partition_for(g, assignment, K):

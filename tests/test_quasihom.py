@@ -353,6 +353,9 @@ def test_empty_graph_and_out_of_range_subsets_raise():
     p = QuasihomParams(Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), 2)
     with pytest.raises(EmptyGraphError):
         check_exact(empty, p)
+    # this used to report a vacuous no_violation_found
+    with pytest.raises(EmptyGraphError):
+        falsify_heuristic(empty, p, 100)
     with pytest.raises(EmptyGraphError):
         verify_certificate(empty, [0], p)
     with pytest.raises(VertexSetMismatchError):

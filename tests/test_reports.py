@@ -10,7 +10,7 @@ from importlib import resources
 from qhdecomp import reports
 from qhdecomp.coloring import color_edges
 from qhdecomp.errors import FormatError
-from qhdecomp.decomposer import decompose, splitting_diagnostics, verify_partition
+from qhdecomp.decomposer import Partition, decompose, splitting_diagnostics, verify_partition
 from qhdecomp.families import FamilySpec, generate, sequence
 from qhdecomp.graph import edit_distance
 from qhdecomp.quasihom import QuasihomParams, check_exact, falsify_heuristic
@@ -265,3 +265,20 @@ def test_stat_vector_reader_takes_integral_floats():
             e["num"], e["den"] = float(e["num"]), float(e["den"])
     back = reports.stat_vector_from_json(doc)
     assert back == sv and type(back.R) is type(back.n) is int
+    # the partition and edge_coloring readers used to pass such floats on,
+    # and verify-partition and stats --colors then ended in a traceback
+    part = Partition(8, (1, 1, 1, 1, 2, 2, 2, 2), 2, ((0, 7), (3, 4)))
+    doc = reports.partition_to_json(part)
+    doc["n"], doc["K"] = 8.0, 2.0
+    doc["assignment"] = [float(a) for a in doc["assignment"]]
+    doc["deleted_edges"] = [[float(u), float(v)] for u, v in doc["deleted_edges"]]
+    back = reports.partition_from_json(doc)
+    ints = (back.n, back.K, *back.assignment, *(x for e in back.deleted_edges for x in e))
+    assert back == part and all(type(x) is int for x in ints)
+    vc, ec = color_edges(cycle(8))
+    doc = reports.edge_coloring_to_json(8, vc, ec)
+    for e in doc["edges"]:
+        e["u"], e["v"], e["c"] = float(e["u"]), float(e["v"]), float(e["c"])
+    colors = reports.edge_colors_from_json(doc)
+    assert colors == ec.colors
+    assert all(type(x) is int for (u, v), c in colors.items() for x in (u, v, c))

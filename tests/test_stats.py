@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhdecomp.coloring import color_edges
+from qhdecomp.coloring import color_edges, random_b_labels
 from qhdecomp.errors import (
     PatternDisconnectedError,
     PatternTooLargeError,
@@ -27,6 +27,7 @@ from qhdecomp.stats import (
 from qhdecomp.families import FamilySpec, generate
 
 from conftest import cycle, double, path, random_bounded_graph, torus
+import oracles
 from oracles import count_subgraph_copies
 
 
@@ -261,3 +262,30 @@ def test_total_variation_basics():
     q = {b"b": Fraction(1)}
     assert total_variation(p, q) == 1
     assert total_variation(p, p) == 0
+
+
+def test_d_s_matches_fraction_reference():
+    # stats.d_s sums integer counts over common denominators; the oracle
+    # adds one Fraction per code
+    rr = generate(FamilySpec("random_regular", (30, 3), seed=2))
+    _, ec = color_edges(rr)
+    labels = random_b_labels(rr, 2, seed=5).values
+    vectors = [
+        stat_vector(rr, 3),
+        stat_vector(torus(4, 5), 3),
+        stat_vector(path(7), 3),
+        stat_vector(rr, 3, labels, 2),
+        stat_vector(rr, 3, edge_colors=ec.colors),
+        stat_vector(cycle(9), 3, edge_colors=color_edges(cycle(9))[1].colors),
+    ]
+    # mixtures have n = None and denominators that are not the parts' n
+    vectors.append(mixture([(Fraction(2, 7), vectors[0]), (Fraction(5, 7), vectors[2])]))
+    vectors.append(mixture([(Fraction(1, 3), vectors[1]), (Fraction(2, 3), vectors[4])]))
+    for a in vectors:
+        for b in vectors:
+            assert d_s(a, b) == oracles.d_s(a, b)
+        assert d_s(a, a)[0] == 0
+    # plain and coloured codes never coincide: disjoint supports at every radius
+    plain, colored = vectors[0], vectors[4]
+    assert all(plain.at(r).keys().isdisjoint(colored.at(r).keys()) for r in (1, 2, 3))
+    assert d_s(plain, colored) == oracles.d_s(plain, colored) == (Fraction(7, 8), Fraction(1, 8))
