@@ -185,11 +185,21 @@ def codes_at_radii(
 
 
 def census(
-    g: Graph, radii, labels=None, label_width: int = 0, edge_colors=None
+    g: Graph, radii, labels=None, label_width: int = 0, edge_colors=None,
+    cache: dict | None = None,
 ) -> list[tuple[bytes, ...]]:
     """Every vertex's codes at the sorted ``radii``, from one raw-ball
-    cache and one ``BranchForms`` table shared by all vertices."""
-    cache: dict = {}
+    cache and one ``BranchForms`` table shared by all vertices.
+
+    ``cache`` is that raw-ball cache, a fresh dict unless one is passed.
+    Its keys hold the whole numbered ball with its radii, label width,
+    labels and colours, and nothing of the graph, so one cache may serve
+    censuses of different graphs, labellings and colourings: a vertex whose
+    ball is numbered alike in two graphs, as in a spanned subgraph and its
+    host when no edge leaves the subset, is canonicalized once.
+    """
+    if cache is None:
+        cache = {}
     forms = BranchForms(g, labels, label_width, edge_colors)
     return [
         tuple(codes_at_radii(g, x, radii, labels, label_width, edge_colors, cache, forms).values())

@@ -347,13 +347,19 @@ class SplittingReport:
 def splitting_diagnostics(seq: list[tuple[Graph, Partition]], R: int) -> SplittingReport:
     """Per-sequence-element splitting quantities plus the exact mixture
     identity: the statistics of the post-deletion graph equal the
-    size-weighted mixture of part statistics, with zero tolerance."""
+    size-weighted mixture of part statistics, with zero tolerance.
+
+    One raw-ball cache serves every census here.  A spanned subgraph keeps
+    its members' id order, so a vertex has the same numbered ball in its
+    part as in the post-deletion graph when no edge joins two parts, and
+    that graph's census then finds every non-tree ball in the parts'."""
     if not seq:
         raise KMismatchError("empty sequence")
     K = seq[0][1].K
     if any(p.K != K for _, p in seq):
         raise KMismatchError("partitions disagree on K")
     items: list[SplitItem] = []
+    cache: dict = {}
     for g, p in seq:
         _check_assignment(g, p)
         if stored_mismatch := (set(p.deleted_edges) - set(g.edges())):
@@ -370,11 +376,11 @@ def splitting_diagnostics(seq: list[tuple[Graph, Partition]], R: int) -> Splitti
             if not members:
                 continue
             sub, _ = spanned_subgraph(h, members)
-            s = stat_vector(sub, R)
+            s = stat_vector(sub, R, cache=cache)
             part_stats[i] = s
             weighted.append((fractions[i], s))
         mixed = mixture(weighted)
-        whole = stat_vector(h, R)
+        whole = stat_vector(h, R, cache=cache)
         exact = mixed.radii == whole.radii
         cross = Fraction(len(p.deleted_edges), g.n)
         items.append(SplitItem(g.n, cross, fractions, exact, part_stats))

@@ -92,8 +92,8 @@ class _SubsetEvaluator:
     keeps G's census (every vertex's codes at radii 1..R), the integer code
     counts of G, the members of each ball B_G(v, R), a memo of v's codes
     keyed by which of those members S holds, and one raw-key -> code cache
-    of subgraph balls shared by all candidates.  Both caches start over
-    once they pass ``_MAX_CACHED_CODES`` entries.
+    shared by G's census and the subgraph balls of all candidates.  Both
+    caches start over once they pass ``_MAX_CACHED_CODES`` entries.
     """
 
     def __init__(self, g: Graph, R: int):
@@ -104,7 +104,7 @@ class _SubsetEvaluator:
         self.radii = range(1, R + 1)
         self.codes: dict = {}
         self.local: dict[tuple[int, bytes], tuple[bytes, ...]] = {}
-        self.base = balls.census(g, self.radii)
+        self.base = balls.census(g, self.radii, cache=self.codes)
         self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
         self.members = [tuple(balls._bfs(g, v, R)[0]) for v in range(g.n)]
 
@@ -335,24 +335,32 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
     cut = [sum(member[w] != member[v] for w in adj[v]) for v in range(n)]
     boundary = sum(cut) // 2
     eval_stride = max(1, iterations // 25)
-
-    def energy(sz, bd):
-        return g.degree_bound * max(0, s_min - sz) + max(0, bd - b_max)
-
-    current = energy(size, boundary)
-    randrange, uniform = rng.randrange, rng.random
+    # energy, in integers: degree bound * missing size + excess boundary;
+    # the loop writes max(0, x) as a conditional expression to save a call
+    weight = g.degree_bound
+    current = weight * max(0, s_min - size) + max(0, boundary - b_max)
+    # rng.randrange(n) is CPython's _randbelow_with_getrandbits(n): draw
+    # getrandbits(n.bit_length()) until the value is below n.  Inlined, it
+    # yields the same numbers and leaves the same RNG state.
+    bits, k, uniform = rng.getrandbits, n.bit_length(), rng.random
     temp0 = 2.0
     for it in range(iterations):
         # bias flips toward cut-adjacent vertices without rebuilding the cut
-        v = randrange(n)
+        v = bits(k)
+        while v >= n:
+            v = bits(k)
         for _ in range(5):
             if uniform() < 0.2 or cut[v]:
                 break
-            v = randrange(n)
+            v = bits(k)
+            while v >= n:
+                v = bits(k)
         # flipping v moves its cut edges inside and its other edges onto the cut
         new_size = size - 1 if member[v] else size + 1
         new_boundary = boundary + len(adj[v]) - 2 * cut[v]
-        new_energy = energy(new_size, new_boundary)
+        new_energy = (weight * (s_min - new_size) if new_size < s_min else 0) + (
+            new_boundary - b_max if new_boundary > b_max else 0
+        )
         delta_e = new_energy - current
         # only an uphill move draws: the RNG stream is part of every verdict
         if delta_e <= 0:

@@ -57,10 +57,12 @@ def stat_vector(
     labels=None,
     label_width: int = 0,
     edge_colors=None,
+    cache: dict | None = None,
 ) -> StatVector:
+    """Code frequencies at radii 1..R; ``cache`` is ``balls.census``'s."""
     if g.n == 0:
         raise EmptyGraphError("statistics of the empty graph are undefined")
-    columns = zip(*balls.census(g, range(1, R + 1), labels, label_width, edge_colors))
+    columns = zip(*balls.census(g, range(1, R + 1), labels, label_width, edge_colors, cache))
     radii = tuple(
         {code: Fraction(cnt, g.n) for code, cnt in sorted(Counter(column).items())}
         for column in columns

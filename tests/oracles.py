@@ -6,9 +6,11 @@ and graph enumeration/deduplication relies on that backtracking only.
 ``agglomerate`` is the plain merge loop that the partition engine's cached
 ``_agglomerate`` must reproduce cluster for cluster, and ``evaluate`` the
 whole-StatVector subset evaluation that ``quasihom``'s shared evaluator must
-reproduce field for field.  ``total_variation`` and ``d_s`` add one
-``Fraction`` per code, the distance that ``stats.d_s`` must reproduce over
-integer counts.  ``codes_at_radii`` is the per-radius ball
+reproduce field for field.  ``anneal_chain`` is the annealing chain with
+``Random.randrange`` draws and an ``energy`` helper that the inlined
+``quasihom._anneal_chain`` must reproduce draw for draw.  ``total_variation``
+and ``d_s`` add one ``Fraction`` per code, the distance that ``stats.d_s``
+must reproduce over integer counts.  ``codes_at_radii`` is the per-radius ball
 extraction (one ``Graph`` and one raw cache key per radius) that the one-probe
 ``balls.codes_at_radii`` must reproduce code for code and canonicalization
 for canonicalization; it calls ``balls.canonical_code`` itself, since only
@@ -22,13 +24,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from fractions import Fraction
+from math import exp
 from struct import pack
 
 from qhdecomp import balls
 from qhdecomp.balls import RootedBall
 from qhdecomp.errors import FormatError, RadiusMismatchError
 from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
-from qhdecomp.quasihom import QuasihomParams, WitnessStats
+from qhdecomp.quasihom import VIOLATED, QuasihomParams, WitnessStats
 from qhdecomp.stats import StatVector, stat_vector
 
 
@@ -324,6 +327,57 @@ def evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessSt
         tail=tail,
         certified=value > p.delta + tail,
     )
+
+
+def anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
+    n = g.n
+    adj = g.adjacency
+    member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
+    size = sum(member)
+    # cut[v]: neighbours of v on the other side of the cut, kept up to date
+    cut = [sum(member[w] != member[v] for w in adj[v]) for v in range(n)]
+    boundary = sum(cut) // 2
+    eval_stride = max(1, iterations // 25)
+
+    def energy(sz, bd):
+        return g.degree_bound * max(0, s_min - sz) + max(0, bd - b_max)
+
+    current = energy(size, boundary)
+    randrange, uniform = rng.randrange, rng.random
+    temp0 = 2.0
+    for it in range(iterations):
+        # bias flips toward cut-adjacent vertices without rebuilding the cut
+        v = randrange(n)
+        for _ in range(5):
+            if uniform() < 0.2 or cut[v]:
+                break
+            v = randrange(n)
+        # flipping v moves its cut edges inside and its other edges onto the cut
+        new_size = size - 1 if member[v] else size + 1
+        new_boundary = boundary + len(adj[v]) - 2 * cut[v]
+        new_energy = energy(new_size, new_boundary)
+        delta_e = new_energy - current
+        # only an uphill move draws: the RNG stream is part of every verdict
+        if delta_e <= 0:
+            accept = True
+        else:
+            temp = temp0 * (0.01 / temp0) ** (it / max(1, iterations - 1))
+            accept = uniform() < exp(-delta_e / max(temp, 1e-9))
+        if accept:
+            side = member[v] = not member[v]
+            cut[v] = len(adj[v]) - cut[v]
+            for w in adj[v]:
+                cut[w] += 1 if member[w] != side else -1
+            size, boundary, current = new_size, new_boundary, new_energy
+        if (
+            it % eval_stride == 0
+            and size >= s_min
+            and boundary <= b_max
+            and size < n
+        ):
+            consider([u for u in range(n) if member[u]])
+            if verdict.status == VIOLATED:
+                return
 
 
 def codes_at_radii(

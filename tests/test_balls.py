@@ -17,7 +17,7 @@ from qhdecomp.balls import (
 )
 from qhdecomp.coloring import color_edges, random_b_labels
 from qhdecomp.families import FamilySpec, generate
-from qhdecomp.graph import from_adjacency, relabel, validate
+from qhdecomp.graph import from_adjacency, relabel, spanned_subgraph, validate
 from qhdecomp.stats import StatVector, forget_colors, stat_vector
 
 import oracles
@@ -280,6 +280,21 @@ def test_stat_vector_matches_oracle_loop(monkeypatch):
             for x in range(g.n):
                 want = oracles.codes_at_radii(g, x, radii, labels, width, colors, ref_cache)
                 assert got[x] == tuple(want.values())
+
+
+def test_shared_cache_serves_any_graph_labels_and_colours():
+    # one raw-ball cache across different graphs, a spanned subgraph of one
+    # of them, and one graph plain, labelled and edge-coloured
+    hosts = _form_hosts()
+    rr = hosts[0][0]
+    sub, _ = spanned_subgraph(rr, range(0, rr.n, 2))
+    hosts.append((sub, None, 0, None))
+    shared: dict = {}
+    for radii in ((1, 2, 3), (2,), (0, 2, 4)):
+        for g, labels, width, colors in hosts + hosts[::-1]:
+            got = census(g, radii, labels, width, colors, shared)
+            assert got == census(g, radii, labels, width, colors)
+    assert shared
 
 
 def test_vertex_codes_match_uncached_path():

@@ -255,6 +255,22 @@ def test_splitting_torus_seam_trend():
     assert all(it.mixture_exact for it in rep.items)
 
 
+def test_splitting_shared_cache_keeps_a_kept_bridge():
+    # the bridge moves its ends' balls in the post-deletion graph away from
+    # their balls in the parts, so the shared raw-ball cache must miss there
+    g = generate(FamilySpec(
+        "bridged_union", parts=(FamilySpec("cycle", (8,)), FamilySpec("cycle", (8,))),
+        bridges=1, seed=3,
+    ))
+    assignment = tuple(1 if v < 8 else 2 for v in range(16))
+    (bridge,) = required_deletions(g, assignment)
+    for R in (1, 2, 3):
+        kept = splitting_diagnostics([(g, Partition(16, assignment, 2, ()))], R)
+        assert not kept.items[0].mixture_exact
+        cut = splitting_diagnostics([(g, Partition(16, assignment, 2, (bridge,)))], R)
+        assert cut.items[0].mixture_exact
+
+
 def test_splitting_k_mismatch():
     g = cycle(8)
     p1 = _partition_for(g, [1] * 8, 1)

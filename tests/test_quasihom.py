@@ -21,7 +21,7 @@ from qhdecomp.quasihom import (
 from qhdecomp.stats import d_s, stat_vector
 
 from conftest import cycle, double, path, random_bounded_graph
-from oracles import evaluate
+from oracles import anneal_chain, evaluate
 
 
 def test_params_validation():
@@ -362,3 +362,61 @@ def test_empty_graph_and_out_of_range_subsets_raise():
         verify_certificate(cycle(6), [0, 6], p)
     with pytest.raises(VertexSetMismatchError):
         verify_certificate(cycle(6), [-1, 0], p)
+
+
+def _draw_below(bits, k, n):
+    # the two lines that replace rng.randrange(n) in quasihom._anneal_chain
+    v = bits(k)
+    while v >= n:
+        v = bits(k)
+    return v
+
+
+def test_inlined_draw_is_randrange():
+    ns = list(range(1, 71))
+    for e in range(1, 21):
+        ns += [(1 << e) - 1, 1 << e, (1 << e) + 1]
+    for seed in range(5):
+        for n in ns:
+            ref, new = random.Random(seed), random.Random(seed)
+            bits, k = new.getrandbits, n.bit_length()
+            for _ in range(8):
+                assert _draw_below(bits, k, n) == ref.randrange(n)
+                assert new.random() == ref.random()
+            assert new.getstate() == ref.getstate()
+
+
+def _anneal_corpus():
+    planted = generate(FamilySpec(
+        "disjoint_union",
+        parts=(FamilySpec("cycle", (10,)), FamilySpec("random_regular", (10, 3), seed=4)),
+    ))
+    bridged = generate(FamilySpec(
+        "bridged_union",
+        parts=(FamilySpec("cycle", (16,)), FamilySpec("random_regular", (24, 3), seed=2)),
+        bridges=2,
+        seed=2,
+    ))
+    rng = random.Random(41)
+    return [cycle(8), cycle(31), path(12), path(40), planted, bridged] + [
+        random_bounded_graph(n, 4, rng) for n in (9, 17, 26, 38)
+    ]
+
+
+def test_anneal_matches_randrange_reference(monkeypatch):
+    F = Fraction
+    params = [
+        QuasihomParams(F(1, 8), F(1, 2), F(1, 5), 2),
+        QuasihomParams(F(1, 6), F(3, 10), F(1, 5), 3),
+    ]
+    fields = ("status", "witness", "candidates_checked", "near_misses", "witness_stats")
+    for i, g in enumerate(_anneal_corpus()):
+        p = params[i % 2]
+        for seed in range(5):
+            budget = (200, 700, 3000)[(i + seed) % 3]
+            monkeypatch.setattr(quasihom, "_anneal_chain", anneal_chain)
+            want = falsify_heuristic(g, p, budget, seed)
+            monkeypatch.undo()
+            got = falsify_heuristic(g, p, budget, seed)
+            for name in fields:
+                assert getattr(got, name) == getattr(want, name), (g.n, seed, budget, name)
