@@ -147,6 +147,10 @@ def codes_at_radii(
     known, the ball is never reindexed.
     """
     rs = tuple(sorted(set(radii)))
+    # the code format holds radii up to 255; refuse before keying a ball
+    # by every smaller radius
+    if rs[-1] > 0xFF:
+        raise FormatError("radius too large to encode")
     index, ends, tree = _bfs(g, x, rs[-1])
     trees = 0 if forms is None else bisect_right(rs, tree)
     full = None

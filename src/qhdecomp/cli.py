@@ -1,7 +1,8 @@
 """Command-line surface binding the modules into reproducible runs.
 
 Every artifact-producing run also writes a RunManifest (parameters, seeds,
-paths, wall time) next to its primary output; re-running the recorded argv
+paths, wall time) next to its primary output; handlers read and write files
+only through it, so it lists every one.  Re-running the recorded argv
 reproduces the artifacts byte-exactly.  Verdicts are data: a certified
 violation still exits 0.  Domain errors exit 1, usage errors exit 2.
 """
@@ -9,6 +10,7 @@ violation still exits 0.  Domain errors exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -40,15 +42,11 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
-def _read_graph(path: str) -> graph.Graph:
-    with open(path) as fh:
-        return graph.from_edge_list(fh.read())
-
-
-def _read_edge_colors(path: str, g: graph.Graph) -> dict[tuple[int, int], int]:
+def _read_edge_colors(mw: reports.ManifestWriter, path: str,
+                      g: graph.Graph) -> dict[tuple[int, int], int]:
     """The colors of an edge_coloring document that lists each edge of
     ``g`` exactly once, as ``u < v``, and no other pair."""
-    doc = reports.read_json(path)
+    doc = json.loads(mw.read(path))
     colors = reports.edge_colors_from_json(doc)
     if len(colors) != len(doc["edges"]):
         raise FormatError(f"{path} lists an edge twice")
@@ -69,12 +67,6 @@ def _note_resolution(radius: int, delta: Fraction) -> None:
         print(f"note: tail 2^-{radius} = {tail} is not below delta = {delta}; "
               f"without a witness, only subsets with d_s > {delta + tail} are ruled out",
               file=sys.stderr)
-
-
-def _finish(mw: reports.ManifestWriter, args):
-    path = args.manifest or (args.out + ".manifest.json" if args.out else None)
-    if path:
-        mw.finish(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -190,7 +182,7 @@ def main(argv=None) -> int:
     mw = reports.ManifestWriter(args.subcommand, raw)
     try:
         code = _HANDLERS[args.subcommand](args, mw)
-        _finish(mw, args)
+        mw.finish(args.manifest or args.out and args.out + ".manifest.json")
         return code
     except (QhError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -199,14 +191,13 @@ def main(argv=None) -> int:
 
 def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
     if args.spec:
-        doc = reports.read_json(args.spec)
+        doc = json.loads(mw.read(args.spec))
         if isinstance(doc, dict) and doc.get("kind") == "family_specs":
             specs = reports.validate_document(doc)["specs"]
             if not specs:
                 raise FormatError(f"{args.spec} lists no spec")
             doc = specs[0]
         spec = families.FamilySpec.from_json(doc)
-        mw.add_input(args.spec)
     else:
         if not args.kind:
             raise QhError("either --spec or --kind is required")
@@ -215,93 +206,66 @@ def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
     mw.record(spec=spec.to_json())
     mw.seed(seed=args.seed)
     g = families.generate(spec)
-    with open(args.out, "w") as fh:
-        fh.write(graph.to_edge_list(g))
-    mw.add_output(args.out)
+    mw.write(args.out, graph.to_edge_list(g))
     print(f"wrote {args.out}: n={g.n} m={g.edge_count()} d={g.degree_bound}")
     return 0
 
 
 def _cmd_stats(args, mw: reports.ManifestWriter) -> int:
-    g = _read_graph(args.input)
-    mw.add_input(args.input)
-    edge_colors = None
-    if args.colors:
-        edge_colors = _read_edge_colors(args.colors, g)
-        mw.add_input(args.colors)
+    g = graph.from_edge_list(mw.read(args.input))
+    edge_colors = _read_edge_colors(mw, args.colors, g) if args.colors else None
     mw.record(radius=args.radius)
     s = stats.stat_vector(g, args.radius, edge_colors=edge_colors)
-    reports.write_json(args.out, reports.stat_vector_to_json(s))
-    mw.add_output(args.out)
+    mw.write(args.out, reports.stat_vector_to_json(s))
     if args.dump_atlas:
         census = {code: int(freq * g.n) for code, freq in s.at(args.radius).items()}
-        reports.write_json(args.dump_atlas, reports.atlas_to_json(census, args.radius))
-        mw.add_output(args.dump_atlas)
+        mw.write(args.dump_atlas, reports.atlas_to_json(census, args.radius))
     print(f"wrote {args.out}: R={args.radius} n={g.n}")
     return 0
 
 
 def _cmd_distance(args, mw: reports.ManifestWriter) -> int:
-    a = reports.stat_vector_from_json(reports.read_json(args.a))
-    b = reports.stat_vector_from_json(reports.read_json(args.b))
-    mw.add_input(args.a)
-    mw.add_input(args.b)
+    a = reports.stat_vector_from_json(json.loads(mw.read(args.a)))
+    b = reports.stat_vector_from_json(json.loads(mw.read(args.b)))
     value, tail = stats.d_s(a, b)
     print(f"d_s = {value} (~{float(value):.6g}), tail <= {tail}")
-    if args.out:
-        reports.write_json(args.out, reports.distance_to_json(value, tail))
-        mw.add_output(args.out)
+    mw.write(args.out, reports.distance_to_json(value, tail))
     return 0
 
 
 def _cmd_editdist(args, mw: reports.ManifestWriter) -> int:
-    a = _read_graph(args.a)
-    b = _read_graph(args.b)
-    mw.add_input(args.a)
-    mw.add_input(args.b)
+    a = graph.from_edge_list(mw.read(args.a))
+    b = graph.from_edge_list(mw.read(args.b))
     value = graph.edit_distance(a, b)
     print(f"edit distance = {value} (~{float(value):.6g})")
-    if args.out:
-        reports.write_json(args.out, reports.scalar_to_json("edit_distance", value))
-        mw.add_output(args.out)
+    mw.write(args.out, reports.scalar_to_json("edit_distance", value))
     return 0
 
 
 def _cmd_sparse_density(args, mw: reports.ManifestWriter) -> int:
-    pattern = _read_graph(args.pattern)
-    host = _read_graph(args.input)
-    mw.add_input(args.pattern)
-    mw.add_input(args.input)
+    pattern = graph.from_edge_list(mw.read(args.pattern))
+    host = graph.from_edge_list(mw.read(args.input))
     value = stats.sparse_density(pattern, host)
     print(f"sparse density = {value} (~{float(value):.6g})")
-    if args.out:
-        reports.write_json(
-            args.out,
-            reports.scalar_to_json("sparse_density", value, pattern_vertices=pattern.n),
-        )
-        mw.add_output(args.out)
+    mw.write(args.out, reports.scalar_to_json("sparse_density", value,
+                                              pattern_vertices=pattern.n))
     return 0
 
 
 def _cmd_color_edges(args, mw: reports.ManifestWriter) -> int:
-    g = _read_graph(args.input)
-    mw.add_input(args.input)
+    g = graph.from_edge_list(mw.read(args.input))
     vc, ec = coloring.color_edges(g)
-    reports.write_json(args.out, reports.edge_coloring_to_json(g.n, vc, ec))
-    mw.add_output(args.out)
+    mw.write(args.out, reports.edge_coloring_to_json(g.n, vc, ec))
     if args.out_el:
         lines = [f"{g.n} {g.degree_bound}"]
         lines.extend(f"{u} {v} {ec.colors[(u, v)]}" for u, v in g.edges())
-        with open(args.out_el, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        mw.add_output(args.out_el)
+        mw.write(args.out_el, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: vertex palette <= {vc.palette}, edge palette <= {ec.palette}")
     return 0
 
 
 def _cmd_check_quasihom(args, mw: reports.ManifestWriter) -> int:
-    g = _read_graph(args.input)
-    mw.add_input(args.input)
+    g = graph.from_edge_list(mw.read(args.input))
     p = quasihom.QuasihomParams(args.epsilon, args.lam, args.delta, args.radius)
     mw.record(epsilon=p.epsilon, lam=p.lam, delta=p.delta, radius=p.R,
               exact=args.exact, budget=args.budget)
@@ -311,18 +275,14 @@ def _cmd_check_quasihom(args, mw: reports.ManifestWriter) -> int:
     else:
         verdict = quasihom.falsify_heuristic(g, p, args.budget, args.seed)
     _note_resolution(p.R, p.delta)
-    doc = reports.quasihom_verdict_to_json(verdict, p)
     print(f"status: {verdict.status}"
           + (f", witness size {len(verdict.witness)}" if verdict.witness else ""))
-    if args.out:
-        reports.write_json(args.out, doc)
-        mw.add_output(args.out)
+    mw.write(args.out, reports.quasihom_verdict_to_json(verdict, p))
     return 0
 
 
 def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
-    g = _read_graph(args.input)
-    mw.add_input(args.input)
+    g = graph.from_edge_list(mw.read(args.input))
     mw.record(delta=args.delta, lam=args.lam, kmax=args.kmax,
               signature_radius=args.signature_radius, threshold_mode=args.threshold_mode)
     mw.seed(seed=args.seed)
@@ -337,18 +297,15 @@ def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
         _note_resolution(args.radius, args.delta)
         # the partition schema leaves its embedded verdict unchecked
         doc["verdict"] = reports.validate_document(reports.partition_verdict_to_json(verdict))
-    reports.write_json(args.out, doc)
-    mw.add_output(args.out)
+    mw.write(args.out, doc)
     sizes = p.part_sizes()
     print(f"K={p.K} deleted={len(p.deleted_edges)} sizes={dict(sorted(sizes.items()))}")
     return 0
 
 
 def _cmd_verify_partition(args, mw: reports.ManifestWriter) -> int:
-    g = _read_graph(args.input)
-    p = reports.partition_from_json(reports.read_json(args.partition))
-    mw.add_input(args.input)
-    mw.add_input(args.partition)
+    g = graph.from_edge_list(mw.read(args.input))
+    p = reports.partition_from_json(json.loads(mw.read(args.partition)))
     mw.record(delta=args.delta, lam=args.lam, epsilon=args.epsilon,
               radius=args.radius, mode=args.mode, budget=args.budget,
               threshold_mode=args.threshold_mode)
@@ -361,36 +318,30 @@ def _cmd_verify_partition(args, mw: reports.ManifestWriter) -> int:
     print(f"passed: {verdict.passed} (deleted_ok={verdict.deleted_ok}, "
           f"empty_ok={verdict.empty_part_ok}, sizes_ok={verdict.sizes_ok}, "
           f"quasihom_ok={verdict.parts_quasihom_ok})")
-    if args.out:
-        reports.write_json(args.out, reports.partition_verdict_to_json(verdict))
-        mw.add_output(args.out)
+    mw.write(args.out, reports.partition_verdict_to_json(verdict))
     return 0
 
 
 def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
     if len(args.inputs) != len(args.partitions):
         raise QhError("--inputs and --partitions must pair up")
-    seq = []
-    for gp, pp in zip(args.inputs, args.partitions):
-        seq.append((_read_graph(gp), reports.partition_from_json(reports.read_json(pp))))
-        mw.add_input(gp)
-        mw.add_input(pp)
+    seq = [
+        (graph.from_edge_list(mw.read(gp)), reports.partition_from_json(json.loads(mw.read(pp))))
+        for gp, pp in zip(args.inputs, args.partitions)
+    ]
     mw.record(radius=args.radius)
     rep = dec.splitting_diagnostics(seq, args.radius)
-    reports.write_json(args.out, reports.splitting_to_json(rep))
-    mw.add_output(args.out)
+    mw.write(args.out, reports.splitting_to_json(rep))
     print(f"items={len(rep.items)} mixture_exact={[it.mixture_exact for it in rep.items]}")
     return 0
 
 
 def _cmd_convergence(args, mw: reports.ManifestWriter) -> int:
-    doc = reports.document_of_kind(reports.read_json(args.specs), "family_specs")
+    doc = reports.document_of_kind(json.loads(mw.read(args.specs)), "family_specs")
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
-    mw.add_input(args.specs)
     mw.record(radius=args.radius, count=len(specs))
     rep = families.sequence(specs, args.radius)
-    reports.write_json(args.out, reports.convergence_to_json(rep))
-    mw.add_output(args.out)
+    mw.write(args.out, reports.convergence_to_json(rep))
     print(f"wrote {args.out}: {len(specs)} specs, "
           f"trend nonincreasing: {rep.consecutive_nonincreasing}")
     return 0

@@ -62,8 +62,10 @@ def validate(edges: Iterable[tuple[int, int]], n: int, d: int) -> Graph:
     """Build a Graph from a raw edge list, checking simplicity and degrees.
 
     Raises SelfLoopError, DuplicateEdgeError, or DegreeExceededError; also
-    rejects vertex ids outside [0, n).
+    rejects a negative n or d and vertex ids outside [0, n).
     """
+    if n < 0 or d < 0:
+        raise FormatError(f"negative vertex count or degree bound: n={n}, d={d}")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -343,7 +343,9 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
     # getrandbits(n.bit_length()) until the value is below n.  Inlined, it
     # yields the same numbers and leaves the same RNG state.
     bits, k, uniform = rng.getrandbits, n.bit_length(), rng.random
+    # temp falls from temp0 to temp0 * ratio = 0.01, so it never nears 0
     temp0 = 2.0
+    span, ratio = max(1, iterations - 1), 0.01 / temp0
     for it in range(iterations):
         # bias flips toward cut-adjacent vertices without rebuilding the cut
         v = bits(k)
@@ -366,8 +368,8 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
         if delta_e <= 0:
             accept = True
         else:
-            temp = temp0 * (0.01 / temp0) ** (it / max(1, iterations - 1))
-            accept = uniform() < exp(-delta_e / max(temp, 1e-9))
+            temp = temp0 * ratio ** (it / span)
+            accept = uniform() < exp(-delta_e / temp)
         if accept:
             side = member[v] = not member[v]
             cut[v] = len(adj[v]) - cut[v]

@@ -1,14 +1,16 @@
 """JSON report documents, their schemas, and run manifests.
 
 Every document carries ``format_version`` and ``kind`` and validates
-against a schema shipped under ``qhdecomp/schemas``.  Each document is
-validated once on each side: ``write_json`` checks it before writing, and
-each reader checks what it reads.  Each kind's schema is compiled once
-into a checker that accepts exactly what ``jsonschema`` accepts;
-``jsonschema`` itself runs only on a document the checker rejects, where
-it has the final say and words the error.  The ``*_to_json`` writers only
-build documents.  Rationals are serialized as integer num/den pairs plus a
-convenience decimal string; the decimal is never read back.
+against a schema shipped under ``qhdecomp/schemas``; a test checks each
+shipped schema against its metaschema.  Each document is validated once on
+each side: ``write_json`` checks it before writing, and each reader checks
+what it reads.  Each kind's schema is compiled once into a checker that
+accepts exactly what ``jsonschema`` accepts.  ``jsonschema`` is imported
+only to word a rejection: it runs on a document the checker rejects, where
+it has the final say.  The ``*_to_json`` writers only build documents.
+Rationals are serialized as integer num/den pairs plus a convenience
+decimal string; the decimal is never read back.  A run manifest records
+every file the run reads or writes.
 """
 
 from __future__ import annotations
@@ -18,10 +20,8 @@ import numbers
 import re
 import time
 from fractions import Fraction
+from functools import cache
 from importlib import resources
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .coloring import EdgeColoring, VertexColoring
 from .decomposer import Partition, PartitionVerdict, SplittingReport
@@ -31,22 +31,19 @@ from .stats import StatVector, integer_counts
 
 FORMAT_VERSION = 1
 
-_VALIDATORS: dict = {}
-_CHECKS: dict = {}
+
+@cache
+def _schema(kind: str) -> dict:
+    """The schema of one document kind, read once and shared: callers must
+    not change it."""
+    ref = resources.files("qhdecomp.schemas").joinpath(f"{kind}.schema.json")
+    return json.loads(ref.read_text())
 
 
-def _validator(kind: str):
-    """The schema validator of one document kind, checked and built once
-    (``jsonschema.validate`` re-checks the schema on every call), together
-    with the kind's compiled checker in ``_CHECKS``."""
-    if kind not in _VALIDATORS:
-        ref = resources.files("qhdecomp.schemas").joinpath(f"{kind}.schema.json")
-        schema = json.loads(ref.read_text())
-        cls = validator_for(schema)
-        cls.check_schema(schema)
-        _CHECKS[kind] = _compile_schema(schema)
-        _VALIDATORS[kind] = cls(schema)
-    return _VALIDATORS[kind]
+@cache
+def _check(kind: str):
+    """The compiled checker of one document kind, built once."""
+    return _compile_schema(_schema(kind))
 
 
 def validate_document(doc: dict) -> dict:
@@ -54,14 +51,18 @@ def validate_document(doc: dict) -> dict:
     if not isinstance(kind, str):
         raise FormatError("document missing 'kind'")
     try:
-        validator = _validator(kind)
+        check = _check(kind)
     except FileNotFoundError:
         raise FormatError(f"unknown document kind {kind!r}")
-    if _CHECKS[kind](doc):
+    if check(doc):
         return doc
     # jsonschema decides what the compiled check rejects, with the error
     # jsonschema.validate would raise
-    error = best_match(validator.iter_errors(doc))
+    from jsonschema.exceptions import best_match
+    from jsonschema.validators import validator_for
+
+    schema = _schema(kind)
+    error = best_match(validator_for(schema)(schema).iter_errors(doc))
     if error is not None:
         raise FormatError(f"invalid {kind} document: {error.message}")
     return doc
@@ -231,13 +232,16 @@ def rational(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "decimal": format(float(x), ".12g")}
 
 
+def _document(kind: str, **fields) -> dict:
+    return {"format_version": FORMAT_VERSION, "kind": kind, **fields}
+
+
 def stat_vector_to_json(s: StatVector) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "stat_vector",
-        "R": s.R,
-        "n": s.n,
-        "radii": [
+    return _document(
+        "stat_vector",
+        R=s.R,
+        n=s.n,
+        radii=[
             {
                 "r": r,
                 "entries": [
@@ -247,7 +251,7 @@ def stat_vector_to_json(s: StatVector) -> dict:
             }
             for r in range(1, s.R + 1)
         ],
-    }
+    )
 
 
 def stat_vector_from_json(doc: dict) -> StatVector:
@@ -279,34 +283,28 @@ def stat_vector_from_json(doc: dict) -> StatVector:
 
 
 def distance_to_json(value: Fraction, tail: Fraction) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "distance",
-        "value": rational(value),
-        "tail": rational(tail),
-    }
+    return scalar_to_json("distance", value, tail=rational(tail))
 
 
 def scalar_to_json(kind: str, value: Fraction, **extra) -> dict:
-    return {"format_version": FORMAT_VERSION, "kind": kind, "value": rational(value), **extra}
+    return _document(kind, value=rational(value), **extra)
 
 
 def quasihom_verdict_to_json(v: QuasihomVerdict, p: QuasihomParams) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "quasihom_verdict",
-        "status": v.status,
-        "params": {
+    return _document(
+        "quasihom_verdict",
+        status=v.status,
+        params={
             "epsilon": rational(p.epsilon),
             "lambda": rational(p.lam),
             "delta": rational(p.delta),
             "radius": p.R,
         },
-        "witness": list(v.witness) if v.witness is not None else None,
-        "witness_stats": _witness_stats_json(v.witness_stats),
-        "near_misses": v.near_misses,
-        "candidates_checked": v.candidates_checked,
-    }
+        witness=list(v.witness) if v.witness is not None else None,
+        witness_stats=_witness_stats_json(v.witness_stats),
+        near_misses=v.near_misses,
+        candidates_checked=v.candidates_checked,
+    )
 
 
 def _witness_stats_json(ws: WitnessStats | None):
@@ -322,14 +320,13 @@ def _witness_stats_json(ws: WitnessStats | None):
 
 
 def partition_to_json(p: Partition) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "partition",
-        "n": p.n,
-        "K": p.K,
-        "assignment": list(p.assignment),
-        "deleted_edges": [list(e) for e in p.deleted_edges],
-    }
+    return _document(
+        "partition",
+        n=p.n,
+        K=p.K,
+        assignment=list(p.assignment),
+        deleted_edges=[list(e) for e in p.deleted_edges],
+    )
 
 
 def partition_from_json(doc: dict) -> Partition:
@@ -347,19 +344,18 @@ def partition_from_json(doc: dict) -> Partition:
 
 
 def partition_verdict_to_json(v: PartitionVerdict) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "partition_verdict",
-        "passed": v.passed,
-        "deleted_ok": v.deleted_ok,
-        "deleted_count": v.deleted_count,
-        "deleted_budget": rational(v.deleted_budget),
-        "empty_part_ok": v.empty_part_ok,
-        "empty_fraction": rational(v.empty_fraction),
-        "sizes_ok": v.sizes_ok,
-        "size_threshold": rational(v.size_threshold),
-        "parts_quasihom_ok": v.parts_quasihom_ok,
-        "parts": [
+    return _document(
+        "partition_verdict",
+        passed=v.passed,
+        deleted_ok=v.deleted_ok,
+        deleted_count=v.deleted_count,
+        deleted_budget=rational(v.deleted_budget),
+        empty_part_ok=v.empty_part_ok,
+        empty_fraction=rational(v.empty_fraction),
+        sizes_ok=v.sizes_ok,
+        size_threshold=rational(v.size_threshold),
+        parts_quasihom_ok=v.parts_quasihom_ok,
+        parts=[
             {
                 "part": pc.part,
                 "size": pc.size,
@@ -369,24 +365,19 @@ def partition_verdict_to_json(v: PartitionVerdict) -> dict:
             }
             for pc in v.parts
         ],
-    }
+    )
 
 
 def edge_coloring_to_json(g_n: int, vc: VertexColoring, ec: EdgeColoring) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "edge_coloring",
-        "n": g_n,
-        "vertex_palette": vc.palette,
-        "vertex_colors": list(vc.colors),
-        "edge_palette": ec.palette,
-        "color_pairs": {
-            str(idx): list(pair) for idx, pair in sorted(ec.pair_of.items())
-        },
-        "edges": [
-            {"u": u, "v": v, "c": c} for (u, v), c in sorted(ec.colors.items())
-        ],
-    }
+    return _document(
+        "edge_coloring",
+        n=g_n,
+        vertex_palette=vc.palette,
+        vertex_colors=list(vc.colors),
+        edge_palette=ec.palette,
+        color_pairs={str(idx): list(pair) for idx, pair in sorted(ec.pair_of.items())},
+        edges=[{"u": u, "v": v, "c": c} for (u, v), c in sorted(ec.colors.items())],
+    )
 
 
 def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
@@ -395,12 +386,11 @@ def edge_colors_from_json(doc: dict) -> dict[tuple[int, int], int]:
 
 
 def splitting_to_json(rep: SplittingReport) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "splitting",
-        "K": rep.K,
-        "R": rep.R,
-        "items": [
+    return _document(
+        "splitting",
+        K=rep.K,
+        R=rep.R,
+        items=[
             {
                 "n": it.n,
                 "cross_edge_ratio": rational(it.cross_edge_ratio),
@@ -411,28 +401,27 @@ def splitting_to_json(rep: SplittingReport) -> dict:
             }
             for it in rep.items
         ],
-        "cross_ratio_nonincreasing": rep.cross_ratio_nonincreasing,
-        "part_drift": {
+        cross_ratio_nonincreasing=rep.cross_ratio_nonincreasing,
+        part_drift={
             str(i): [rational(v) for v in vals]
             for i, vals in sorted(rep.part_drift.items())
         },
-    }
+    )
 
 
 def convergence_to_json(rep) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "convergence",
-        "R": rep.R,
-        "sizes": rep.sizes,
-        "tail": rational(rep.tail),
-        "pairwise": [
+    return _document(
+        "convergence",
+        R=rep.R,
+        sizes=rep.sizes,
+        tail=rational(rep.tail),
+        pairwise=[
             {"i": i, "j": j, "value": rational(v)}
             for (i, j), v in sorted(rep.pairwise.items())
         ],
-        "consecutive": [rational(v) for v in rep.consecutive],
-        "consecutive_nonincreasing": rep.consecutive_nonincreasing,
-    }
+        consecutive=[rational(v) for v in rep.consecutive],
+        consecutive_nonincreasing=rep.consecutive_nonincreasing,
+    )
 
 
 def atlas_to_json(census: dict[bytes, int], r: int) -> dict:
@@ -448,32 +437,27 @@ def atlas_to_json(census: dict[bytes, int], r: int) -> dict:
             "count": count,
             "witness_adjacency": [list(nbrs) for nbrs in ball.graph.adjacency],
         })
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "atlas",
-        "r": r,
-        "entries": entries,
-    }
+    return _document("atlas", r=r, entries=entries)
 
 
 class ManifestWriter:
-    """Records enough to replay a run bit-exactly (same tool version)."""
+    """Records enough to replay a run bit-exactly (same tool version),
+    including every file the run reads or writes through it."""
 
     def __init__(self, subcommand: str, argv: list[str]):
         from . import __version__
 
-        self.doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "run_manifest",
-            "tool_version": __version__,
-            "subcommand": subcommand,
-            "argv": list(argv),
-            "parameters": {},
-            "seeds": {},
-            "inputs": [],
-            "outputs": [],
-            "wall_time_s": None,
-        }
+        self.doc = _document(
+            "run_manifest",
+            tool_version=__version__,
+            subcommand=subcommand,
+            argv=list(argv),
+            parameters={},
+            seeds={},
+            inputs=[],
+            outputs=[],
+            wall_time_s=None,
+        )
         self._start = time.monotonic()
 
     def record(self, **params):
@@ -485,15 +469,30 @@ class ManifestWriter:
     def seed(self, **seeds):
         self.doc["seeds"].update(seeds)
 
-    def add_input(self, path):
+    def read(self, path) -> str:
+        """The text of the input file ``path``."""
+        with open(path) as fh:
+            text = fh.read()
         self.doc["inputs"].append(str(path))
+        return text
 
-    def add_output(self, path):
+    def write(self, path, doc: dict | str) -> None:
+        """Write a document (through ``write_json``) or text to the output
+        file ``path``; without a path, do nothing."""
+        if path is None:
+            return
+        if isinstance(doc, dict):
+            write_json(path, doc)
+        else:
+            with open(path, "w") as fh:
+                fh.write(doc)
         self.doc["outputs"].append(str(path))
 
     def finish(self, path) -> dict:
+        """Stamp the wall time and, given a path, write the manifest there."""
         self.doc["wall_time_s"] = round(time.monotonic() - self._start, 6)
-        write_json(path, self.doc)
+        if path:
+            write_json(path, self.doc)
         return self.doc
 
 
@@ -503,8 +502,3 @@ def write_json(path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def read_json(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

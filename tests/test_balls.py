@@ -16,6 +16,7 @@ from qhdecomp.balls import (
     extract_ball,
 )
 from qhdecomp.coloring import color_edges, random_b_labels
+from qhdecomp.errors import FormatError
 from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_adjacency, relabel, spanned_subgraph, validate
 from qhdecomp.stats import StatVector, forget_colors, stat_vector
@@ -510,3 +511,16 @@ def _golden_corpus_digest():
 
 def test_golden_code_bytes():
     assert _golden_corpus_digest() == GOLDEN_CODES_SHA256
+
+
+def test_radius_beyond_code_format_refused_before_bfs(monkeypatch):
+    # keying a ball by every smaller radius is quadratic in the radius:
+    # stats --radius 300000 ran out of memory before canonical_code refused
+    def no_bfs(*args):
+        raise AssertionError("BFS before the radius check")
+
+    monkeypatch.setattr(balls, "_bfs", no_bfs)
+    with pytest.raises(FormatError, match="radius too large to encode"):
+        codes_at_radii(cycle(8), 0, range(1, 257))
+    monkeypatch.undo()
+    assert len(codes_at_radii(cycle(8), 0, range(1, 256))) == 255

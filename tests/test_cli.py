@@ -16,7 +16,7 @@ from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_edge_list, to_edge_list
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, timeout=None):
     # an absolute path, so the child imports this package from any cwd
     src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
     return subprocess.run(
@@ -25,11 +25,12 @@ def run_python(args, cwd):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout,
     )
 
 
-def run_cli(args, cwd):
-    return run_python(["-m", "qhdecomp.cli", *args], cwd)
+def run_cli(args, cwd, timeout=None):
+    return run_python(["-m", "qhdecomp.cli", *args], cwd, timeout)
 
 
 @pytest.fixture
@@ -255,6 +256,93 @@ def test_manifest_written_and_replays(workdir):
     assert g.read_text() == first
 
 
+_INPUT_FLAGS = {"--input", "--a", "--b", "--pattern", "--colors", "--partition", "--spec",
+                "--specs", "--inputs", "--partitions"}
+_OUTPUT_FLAGS = {"--out", "--dump-atlas", "--out-el"}
+_THREE_PARAMS = ["--delta", "1/10", "--lambda", "3/10", "--epsilon", "1/12", "--radius", "2",
+                 "--budget", "40"]
+# one run of every artifact-writing subcommand, its files named in the
+# order the run reads and writes them
+ARTIFACT_ARGV = {
+    "generate": ["generate", "--kind", "random_regular", "--params", "12,3", "--seed", "4",
+                 "--out", "o.el"],
+    "generate_spec": ["generate", "--spec", "spec.json", "--out", "o.el"],
+    "stats": ["stats", "--input", "g.el", "--colors", "k.json", "--radius", "2",
+              "--out", "o.json", "--dump-atlas", "a.json"],
+    "distance": ["distance", "--a", "s.json", "--b", "t.json", "--out", "o.json"],
+    "editdist": ["editdist", "--a", "g.el", "--b", "h.el", "--out", "o.json"],
+    "sparse_density": ["sparse-density", "--pattern", "p3.el", "--input", "g.el",
+                       "--out", "o.json"],
+    "color_edges": ["color-edges", "--input", "g.el", "--out", "o.json", "--out-el", "o.el"],
+    "check_quasihom": ["check-quasihom", "--input", "g.el", "--epsilon", "1/12", "--lambda",
+                       "1/2", "--delta", "1/2", "--radius", "2", "--budget", "40", "--seed",
+                       "3", "--out", "o.json"],
+    "decompose": ["decompose", "--input", "g.el", *_THREE_PARAMS, "--kmax", "2",
+                  "--signature-radius", "1", "--seed", "2", "--out", "o.json"],
+    "verify_partition": ["verify-partition", "--input", "g.el", "--partition", "p.json",
+                         *_THREE_PARAMS, "--mode", "exact", "--out", "o.json"],
+    "split_diagnostics": ["split-diagnostics", "--inputs", "g.el", "--partitions", "p.json",
+                          "--radius", "2", "--out", "o.json"],
+    "convergence": ["convergence", "--specs", "specs.json", "--radius", "2", "--out", "o.json"],
+}
+
+
+@pytest.fixture(scope="module")
+def artifact_inputs(tmp_path_factory):
+    """The files every run in ``ARTIFACT_ARGV`` reads."""
+    root = tmp_path_factory.mktemp("inputs")
+    old = os.getcwd()
+    os.chdir(root)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["generate", "--kind", "cycle", "--params", "12", "--out", "g.el"],
+                ["generate", "--kind", "path", "--params", "12", "--out", "h.el"],
+                ["generate", "--kind", "path", "--params", "3", "--out", "p3.el"],
+                ["color-edges", "--input", "g.el", "--out", "k.json"],
+                ["stats", "--input", "g.el", "--radius", "2", "--out", "s.json"],
+                ["stats", "--input", "h.el", "--radius", "2", "--out", "t.json"],
+                ["decompose", "--input", "g.el", "--delta", "1/10", "--lambda", "3/10",
+                 "--kmax", "2", "--signature-radius", "1", "--out", "p.json"],
+            ):
+                assert main(argv) == 0, argv
+    finally:
+        os.chdir(old)
+    (root / "spec.json").write_text(json.dumps({"kind": "grid_torus", "params": [4, 4]}))
+    (root / "specs.json").write_text(json.dumps({
+        "format_version": 1,
+        "kind": "family_specs",
+        "specs": [{"kind": "cycle", "params": [L]} for L in (6, 8, 10)],
+    }))
+    return root
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_ARGV))
+def test_manifest_lists_files_and_replays(artifact_inputs, tmp_path, monkeypatch, case):
+    argv = ARTIFACT_ARGV[case]
+    for f in artifact_inputs.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    inputs = [v for flag, v in zip(argv, argv[1:]) if flag in _INPUT_FLAGS]
+    outputs = [v for flag, v in zip(argv, argv[1:]) if flag in _OUTPUT_FLAGS]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    manifest_path = tmp_path / (outputs[0] + ".manifest.json")
+    manifest = reports.validate_document(json.loads(manifest_path.read_text()))
+    assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
+    assert manifest["argv"] == argv
+    first = {out: (tmp_path / out).read_bytes() for out in outputs}
+    for out in outputs:
+        (tmp_path / out).unlink()
+    manifest_path.unlink()
+    # replaying the recorded argv reproduces every output byte for byte
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(manifest["argv"]) == 0
+    assert {out: (tmp_path / out).read_bytes() for out in outputs} == first
+    again = json.loads(manifest_path.read_text())
+    assert {**again, "wall_time_s": None} == {**manifest, "wall_time_s": None}
+
+
 def test_exit_codes(workdir):
     g1, g2 = workdir / "a.el", workdir / "b.el"
     main(["generate", "--kind", "cycle", "--params", "4", "--out", str(g1)])
@@ -433,6 +521,9 @@ BAD_ARGV = {
                     1, "params"),
     "radius_zero": (["stats", "--input", "c.el", "--radius", "0", "--out", "s.json"],
                     2, "--radius"),
+    # codes hold radii up to 255; --radius 300000 used to run out of memory
+    "radius_beyond_code": (["stats", "--input", "c.el", "--radius", "256", "--out", "s.json"],
+                           1, "radius too large to encode"),
     "negative_budget": (["check-quasihom", "--input", "c.el", "--epsilon", "1/10",
                          "--lambda", "1/2", "--delta", "1/2", "--radius", "1",
                          "--budget", "-5", "--out", "v.json"], 2, "--budget"),
@@ -454,6 +545,29 @@ BAD_ARGV = {
                                 "--lambda", "3/10", "--kmax", "2", "--signature-radius", "1",
                                 "--radius", "2", "--out", "p.json"], 2, "--epsilon"),
 }
+
+
+# commands on the edge list `-2 2`
+NEGATIVE_VERTEX_ARGV = {
+    "stats": ["stats", "--input", "neg.el", "--radius", "2", "--out", "s.json"],
+    "decompose": ["decompose", "--input", "neg.el", "--delta", "1/10", "--lambda", "3/10",
+                  "--kmax", "2", "--signature-radius", "1", "--out", "p.json"],
+    "check_quasihom": ["check-quasihom", "--input", "neg.el", "--epsilon", "1/10",
+                       "--lambda", "1/2", "--delta", "1/2", "--radius", "1",
+                       "--out", "v.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_VERTEX_ARGV))
+def test_negative_vertex_count_exits_cleanly(workdir, case):
+    # n = -2 used to end stats in an IndexError and decompose in a
+    # ZeroDivisionError, and check-quasihom never ended; the timeout makes
+    # such a hang fail the test
+    (workdir / "neg.el").write_text("-2 2\n")
+    proc = run_cli(NEGATIVE_VERTEX_ARGV[case], cwd=workdir, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "negative vertex count" in proc.stderr
+    assert not any((workdir / out).exists() for out in ("s.json", "p.json", "v.json"))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ARGV))

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qhdecomp.errors import (
     DegreeExceededError,
     DuplicateEdgeError,
+    FormatError,
     SelfLoopError,
     VertexSetMismatchError,
 )
@@ -44,6 +45,15 @@ def test_validate_degree_exceeded():
     with pytest.raises(DegreeExceededError) as exc:
         validate([(0, 1), (0, 2), (0, 3), (0, 4)], 5, 3)
     assert exc.value.vertex == 0 and exc.value.degree == 4
+
+
+def test_validate_negative_sizes():
+    # n = -2 used to build a Graph on which the anneal never ended
+    for n, d in ((-2, 2), (0, -1)):
+        with pytest.raises(FormatError, match="negative vertex count or degree bound"):
+            validate([], n, d)
+    with pytest.raises(FormatError, match="n=-2"):
+        from_edge_list("-2 2\n")
 
 
 def test_spanned_subgraph_arc_of_cycle():

@@ -1,28 +1,54 @@
 import copy
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+from jsonschema.validators import validator_for
 
 from importlib import resources
 
+import qhdecomp
 from qhdecomp import reports
 from qhdecomp.coloring import color_edges
 from qhdecomp.errors import FormatError
 from qhdecomp.decomposer import Partition, decompose, splitting_diagnostics, verify_partition
 from qhdecomp.families import FamilySpec, generate, sequence
-from qhdecomp.graph import edit_distance
+from qhdecomp.graph import edit_distance, to_edge_list
 from qhdecomp.quasihom import QuasihomParams, check_exact, falsify_heuristic
 from qhdecomp.stats import d_s, sparse_density, stat_vector
 
 from conftest import cycle, path
 
 
+_KINDS = sorted(f.name.removesuffix(".schema.json")
+                for f in resources.files("qhdecomp.schemas").iterdir()
+                if f.name.endswith(".schema.json"))
+
+
+def _reference(kind):
+    """The jsonschema validator of one shipped schema, built here so the
+    compiled checker is compared with jsonschema itself."""
+    schema = reports._schema(kind)
+    return validator_for(schema)(schema)
+
+
 def _documents():
     g = generate(FamilySpec("random_regular", (12, 3), seed=0))
     yield reports.stat_vector_to_json(stat_vector(g, 2))
-    yield reports.partition_to_json(decompose(cycle(12), Fraction(1, 10), Fraction(3, 10), 2, 1))
+    c12 = cycle(12)
+    part = decompose(c12, Fraction(1, 10), Fraction(3, 10), 2, 1)
+    yield reports.partition_to_json(part)
+    # rationals, which the schemas share through $ref
+    p = QuasihomParams(Fraction(1, 20), Fraction(3, 10), Fraction(1, 10), 2)
+    yield reports.quasihom_verdict_to_json(check_exact(cycle(8), p), p)
+    verdict = verify_partition(c12, part, Fraction(1, 10), Fraction(3, 10), Fraction(1, 12), 2,
+                               budget=50)
+    yield reports.partition_verdict_to_json(verdict)
 
 
 def _broken(doc):
@@ -58,7 +84,7 @@ def test_validation_errors_match_jsonschema_validate():
     checked = 0
     for doc in _documents():
         assert reports.validate_document(doc) is doc
-        schema = reports._validator(doc["kind"]).schema
+        schema = reports._schema(doc["kind"])
         for bad in _broken(doc):
             try:
                 jsonschema.validate(bad, schema)
@@ -75,9 +101,9 @@ def test_validation_errors_match_jsonschema_validate():
 def test_validator_built_once_per_kind():
     doc = next(_documents())
     reports.validate_document(doc)
-    first = reports._validator("stat_vector")
+    first = reports._check("stat_vector")
     reports.validate_document(doc)
-    assert reports._validator("stat_vector") is first
+    assert reports._check("stat_vector") is first
     with pytest.raises(FormatError, match="unknown document kind 'no_such_kind'"):
         reports.validate_document({"kind": "no_such_kind"})
 
@@ -118,8 +144,9 @@ def _writer_corpus(tmp_path):
     mw = reports.ManifestWriter("stats", ["stats", "--radius", "2"])
     mw.record(radius=2, delta=Fraction(1, 10))
     mw.seed(seed=0)
-    mw.add_input("g.el")
-    mw.add_output("s.json")
+    (tmp_path / "g.el").write_text(to_edge_list(g))
+    mw.read(tmp_path / "g.el")
+    mw.write(tmp_path / "s.json", reports.stat_vector_to_json(sv))
     yield mw.finish(tmp_path / "manifest.json")
 
 
@@ -131,11 +158,47 @@ def test_every_writer_output_validates(tmp_path):
         assert reports.validate_document(doc) is doc
         out = tmp_path / f"doc{i}.json"
         reports.write_json(out, doc)
-        assert reports.read_json(out) == doc
+        assert json.loads(out.read_text()) == doc
         kinds.add(doc["kind"])
-    schemas = resources.files("qhdecomp.schemas").iterdir()
-    assert kinds == {f.name.removesuffix(".schema.json") for f in schemas if f.name.endswith(".json")}
-    assert len(kinds) == 13
+    assert sorted(kinds) == _KINDS and len(kinds) == 13
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_shipped_schema_is_valid(kind):
+    # the runtime never checks a schema against its metaschema
+    schema = reports._schema(kind)
+    validator_for(schema).check_schema(schema)
+    assert schema["title"] == kind
+
+
+def test_accept_path_leaves_jsonschema_unimported(tmp_path):
+    # jsonschema only words a rejection, so accepting a document never
+    # imports it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
+    code = ("import sys; from fractions import Fraction; from qhdecomp import reports; "
+            "reports.validate_document(reports.distance_to_json(Fraction(1, 3), Fraction(1, 4))); "
+            "print('jsonschema' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_manifest_records_reads_and_writes(tmp_path):
+    mw = reports.ManifestWriter("generate", [])
+    (tmp_path / "in.el").write_text("2 1\n0 1\n")
+    assert mw.read(tmp_path / "in.el") == "2 1\n0 1\n"
+    mw.write(tmp_path / "out.el", "text\n")
+    mw.write(None, "never written")
+    mw.write(tmp_path / "d.json", reports.distance_to_json(Fraction(1, 3), Fraction(1, 4)))
+    with pytest.raises(FormatError, match="invalid distance document"):
+        mw.write(tmp_path / "bad.json", {"format_version": 1, "kind": "distance"})
+    assert (tmp_path / "out.el").read_text() == "text\n"
+    assert json.loads((tmp_path / "d.json").read_text())["tail"]["den"] == 4
+    assert not (tmp_path / "bad.json").exists()
+    assert mw.doc["inputs"] == [str(tmp_path / "in.el")]
+    assert mw.doc["outputs"] == [str(tmp_path / "out.el"), str(tmp_path / "d.json")]
+    assert mw.finish(None)["wall_time_s"] is not None
 
 
 def test_write_json_refuses_invalid_documents(tmp_path):
@@ -204,9 +267,10 @@ def _mutants(draw, corpus):
 
 def test_compiled_checker_agrees_with_jsonschema(tmp_path):
     corpus = list(_writer_corpus(tmp_path))
+    references = {kind: _reference(kind) for kind in _KINDS}
     for doc in corpus:
-        validator = reports._validator(doc["kind"])
-        check = reports._CHECKS[doc["kind"]]
+        validator = references[doc["kind"]]
+        check = reports._check(doc["kind"])
         assert check(doc) and validator.is_valid(doc)
         for bad in _broken(doc):
             assert check(bad) == validator.is_valid(bad), bad
@@ -219,8 +283,8 @@ def test_compiled_checker_agrees_with_jsonschema(tmp_path):
     def agree(mutant):
         # judged as the kind it was made from, whatever "kind" now holds
         kind, doc = mutant
-        want = reports._validator(kind).is_valid(doc)
-        assert reports._CHECKS[kind](doc) == want, (kind, doc)
+        want = references[kind].is_valid(doc)
+        assert reports._check(kind)(doc) == want, (kind, doc)
         outcomes.append(want)
 
     agree()
@@ -237,8 +301,8 @@ def test_compiler_refuses_uncovered_keywords():
 
 
 def test_recursive_ref_checks_nested_specs():
-    validator = reports._validator("family_specs")
-    check = reports._CHECKS["family_specs"]
+    validator = _reference("family_specs")
+    check = reports._check("family_specs")
     inner = {"kind": "cycle", "params": [5]}
     union = {"kind": "disjoint_union",
              "parts": [{"kind": "bridged_union", "bridges": 1, "parts": [inner, inner]}]}
