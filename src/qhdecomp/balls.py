@@ -32,6 +32,14 @@ degree sums, so a tree ball whose form is known is never reindexed.  Any
 other ball is keyed by the raw numbered ball.  Either way the code bytes
 come from ``canonical_code`` run on the first ball of each key.
 
+The raw-ball cache also maps leaf encodings to codes (bytes keys, where raw
+keys are tuples): the search serializes a ball in the order of its first
+leaf and returns the stored code when those bytes are known, so a class of
+non-tree balls pays one full search however its copies are numbered.  That
+is exact because the layout decodes uniquely and a leaf order starts at the
+root: equal encodings are isomorphic balls, labels, colours and radius
+included.
+
 ``canonical_code`` strips pendant trees into AHU forms that carry their
 sizes, refines the remaining core by splitters (each round recomputes only
 the cells next to a cell that split in the round before, which gives the
@@ -47,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from struct import pack
 
-from .errors import FormatError
+from .errors import FormatError, RadiusMismatchError
 from .graph import Graph, from_adjacency
 
 _TAG = 0x51
@@ -78,6 +86,8 @@ def extract_ball(
     host edge colors map (u, v) with u < v to small ints.  Both are
     restricted to the ball.
     """
+    if r < 0:
+        raise RadiusMismatchError(f"ball radius {r} is negative")
     index, ends, _ = _bfs(g, x, r)
     rows, _, ball_labels, ups = _reindex(g, index, ends, labels, label_width, edge_colors)
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
@@ -138,7 +148,8 @@ def codes_at_radii(
     the codes at those radii (the ball determines every smaller ball), so
     one probe usually answers a call.  On a miss the radii are walked down
     to the largest hit, and only the balls above it are canonicalized and
-    stored.
+    stored; ``canonical_code`` also reads and fills ``cache`` as its table
+    of leaf encodings.
 
     ``forms``, built for ``g`` with the same labels and colours, keys tree
     balls by their root form instead: the balls up to the largest tree
@@ -147,6 +158,8 @@ def codes_at_radii(
     known, the ball is never reindexed.
     """
     rs = tuple(sorted(set(radii)))
+    if not rs or rs[0] < 0:
+        raise RadiusMismatchError(f"radii {rs} are not a nonempty set of integers >= 0")
     # the code format holds radii up to 255; refuse before keying a ball
     # by every smaller radius
     if rs[-1] > 0xFF:
@@ -182,7 +195,7 @@ def codes_at_radii(
         colors = colors or _color_map(full[0], full[3])
         for key, (rows, ball_labels, _) in reversed(missed):
             ball = _ball(g, rows, rs[len(codes)], ball_labels, label_width, colors)
-            codes.append(canonical_code(ball))
+            codes.append(canonical_code(ball, cache))
             if cache is not None:
                 cache[key] = tuple(codes)
     return dict(zip(rs, codes))
@@ -299,14 +312,18 @@ def _ball(g, rows, r, labels, label_width, colors) -> RootedBall:
     return RootedBall(Graph(len(rows), rows, g.degree_bound), r, labels, label_width, colors)
 
 
-def canonical_code(ball: RootedBall) -> bytes:
+def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
+    """Code bytes of ``ball``.  ``known``, when given, maps encodings of
+    balls in some order that starts at the root to their codes; it is read
+    and filled by the search (``_search``)."""
     if ball.graph.n > 0xFFFF:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
     core, dist, form = _strip_pendants(ball)
-    heads = core if len(core) == 1 else _canonical_order(ball, core, dist, form)
-    return _serialize(ball, heads, form)
+    if len(core) == 1:
+        return _serialize(ball, core, form)
+    return _search(ball, core, dist, form, known)
 
 
 # --- canonicalization -------------------------------------------------------
@@ -376,9 +393,19 @@ def _strip_pendants(ball: RootedBall):
     return [v for v in range(n) if not stripped[v]], dist, form
 
 
-def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
-    """The core in canonical order: the least candidate over the leaves of
-    the individualization-refinement search tree."""
+def _search(ball: RootedBall, core, dist, form, known) -> bytes:
+    """Code of ``ball`` with its core in canonical order: the least
+    candidate over the leaves of the individualization-refinement search
+    tree.
+
+    With ``known``, the ball is also serialized in the order of the first
+    leaf the search reaches.  Those bytes decode to a copy of the ball,
+    root first, so every ball with the same encoding is isomorphic to this
+    one and shares its code: a hit in ``known`` ends the search.  After a
+    full search ``known`` maps both the first leaf's encoding and the code
+    to the code.  A first refinement that is already discrete has one
+    leaf, so it is not probed.
+    """
     nbrs = ball.graph.adjacency
     colors = ball.edge_colors
 
@@ -425,8 +452,11 @@ def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
 
     best: list = [None, None]
     autos: list[tuple[int, ...]] = []
+    # the first leaf's order and its encoding, when ``known`` is probed
+    first: list = [None, None]
 
-    def search(cols, prefix):
+    def search(cols, prefix) -> bool:
+        """Search below ``cols``; True once the first leaf's encoding is known."""
         counts = Counter(cols)
         target = None
         for c in sorted(counts):
@@ -435,6 +465,10 @@ def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
                 break
         if target is None:
             order = sorted(range(k), key=cols.__getitem__)
+            if best[0] is None and known is not None:
+                first[:] = order, _serialize(ball, [core[i] for i in order], form)
+                if first[1] in known:
+                    return True
             data = candidate_bytes(order)
             if best[0] is None or data < best[0]:
                 best[0] = data
@@ -445,7 +479,7 @@ def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
                 for i in range(k):
                     sigma[ref[i]] = order[i]
                 autos.append(tuple(sigma))
-            return
+            return False
         cell = [i for i in range(k) if cols[i] == target]
         tried: list[int] = []
         for v in cell:
@@ -462,10 +496,23 @@ def _canonical_order(ball: RootedBall, core, dist, form) -> list[int]:
             # individualize v: its cell is the only one that split
             out = [2 * c + 1 for c in cols]
             out[v] = 2 * target
-            search(_refine(out, core_nbrs, core_ecol, cell), prefix + (v,))
+            if search(_refine(out, core_nbrs, core_ecol, cell), prefix + (v,)):
+                return True
+        return False
 
-    search(_refine(coloring, core_nbrs, core_ecol), ())
-    return [core[i] for i in best[1]]
+    cols = _refine(coloring, core_nbrs, core_ecol)
+    if len(set(cols)) == k:
+        known = None  # a single leaf: nothing to save
+    found = search(cols, ())
+    # ``search`` refers to itself: unbinding it frees its closure, with the
+    # ball and the cache it holds, now instead of at the next collection
+    search = None
+    if found:
+        return known[first[1]]
+    code = first[1] if best[1] is first[0] else _serialize(ball, [core[i] for i in best[1]], form)
+    if known is not None:
+        known[first[1]] = known[code] = code
+    return code
 
 
 def _refine(cols, nbrs, ecols=None, split=None) -> list[int]:

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import ceil, exp, floor
 from random import Random
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import balls
 from .errors import EmptyGraphError, TooLargeForExactError, VertexSetMismatchError
-from .graph import Graph, boundary_edge_count, spanned_subgraph
+from .graph import Graph, boundary_edge_count, connected_components, spanned_subgraph
 from .stats import stat_vector  # noqa: F401  (the benchmark's tracer patches this name)
 from .stats import tv_numerator
 
@@ -177,30 +178,60 @@ def _mask_filter(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_exact(g: Graph, p: QuasihomParams) -> QuasihomVerdict:
-    """Enumerate every vertex subset; first certified violation wins.
+    """Enumerate every admissible vertex subset; first certified violation
+    wins.
 
-    Subsets are scanned in ascending bitmask order.  Candidates whose
-    distance exceeds delta but not delta + tail are counted as
-    uncertified near misses and do not stop the scan.
+    Up to ``EXHAUSTIVE_CAP`` vertices, subsets are scanned in ascending
+    bitmask order.  Beyond it only a boundary budget of 0 is enumerable:
+    the admissible subsets are then the unions of connected components,
+    scanned in ascending bitmask order over the components, and at most
+    ``EXHAUSTIVE_CAP`` components are allowed.  Candidates whose distance
+    exceeds delta but not delta + tail are counted as uncertified near
+    misses and do not stop the scan.
     """
     n = g.n
-    if n > EXHAUSTIVE_CAP:
-        raise TooLargeForExactError(f"{n} vertices > exhaustive cap {EXHAUSTIVE_CAP}")
-    ev = _evaluator(g, p.R)
     s_min = _size_threshold(p, n)
     b_max = _boundary_budget(p, n)
-    sizes, boundary = _mask_filter(g)
-    qualifying = np.flatnonzero((sizes >= s_min) & (boundary <= b_max))
+    if n <= EXHAUSTIVE_CAP:
+        ev = _evaluator(g, p.R)
+        sizes, boundary = _mask_filter(g)
+        qualifying = np.flatnonzero((sizes >= s_min) & (boundary <= b_max)).tolist()
+        candidates = ([v for v in range(n) if (mask >> v) & 1] for mask in qualifying)
+    elif b_max > 0:
+        raise TooLargeForExactError(
+            f"{n} vertices > exhaustive cap {EXHAUSTIVE_CAP} with boundary budget {b_max}"
+        )
+    else:
+        components = connected_components(g)
+        if len(components) > EXHAUSTIVE_CAP:
+            raise TooLargeForExactError(
+                f"{len(components)} components > exhaustive cap {EXHAUSTIVE_CAP}"
+            )
+        ev = _evaluator(g, p.R)
+        candidates = _component_unions(components, s_min)
+    return _scan(ev, candidates, p.delta)
 
+
+def _component_unions(components: list[list[int]], s_min: int):
+    """Sorted unions of at least ``s_min`` vertices of ``components``, in
+    ascending bitmask order over the components: the subsets no edge
+    leaves."""
+    for mask in range(1, 1 << len(components)):
+        chosen = [c for i, c in enumerate(components) if (mask >> i) & 1]
+        if sum(map(len, chosen)) >= s_min:
+            yield sorted(chain.from_iterable(chosen))
+
+
+def _scan(ev: _SubsetEvaluator, candidates, delta: Fraction) -> QuasihomVerdict:
+    """Evaluate ``candidates`` in turn until one is a certified violation."""
     near = 0
     checked = 0
-    for mask in qualifying.tolist():
-        subset = [v for v in range(n) if (mask >> v) & 1]
-        stats = ev.evaluate(subset, p.delta)
+    for subset in candidates:
+        stats = ev.evaluate(subset, delta)
         checked += 1
         if stats.certified:
             return QuasihomVerdict(VIOLATED, tuple(subset), stats, near, checked)
-        if stats.ds_value > p.delta:
+        if stats.ds_value > delta:
             near += 1
     return QuasihomVerdict(HOLDS_EXACT, None, None, near, checked)
 

@@ -62,6 +62,8 @@ def stat_vector(
     """Code frequencies at radii 1..R; ``cache`` is ``balls.census``'s."""
     if g.n == 0:
         raise EmptyGraphError("statistics of the empty graph are undefined")
+    if R < 1:
+        raise RadiusMismatchError(f"StatVector radius {R} is below 1")
     columns = zip(*balls.census(g, range(1, R + 1), labels, label_width, edge_colors, cache))
     radii = tuple(
         {code: Fraction(cnt, g.n) for code, cnt in sorted(Counter(column).items())}

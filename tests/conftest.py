@@ -37,11 +37,18 @@ def random_bounded_graph(n: int, d: int, rng: random.Random, tries=None) -> Grap
     return validate(edges, n, d)
 
 
+def disjoint_union(*parts: Graph) -> Graph:
+    """Disjoint union of ``parts``, numbered in order."""
+    adj: list[list[int]] = []
+    for g in parts:
+        offset = len(adj)
+        adj += [[w + offset for w in nbrs] for nbrs in g.adjacency]
+    return from_adjacency(adj, max(g.degree_bound for g in parts))
+
+
 def double(g: Graph) -> Graph:
     """Disjoint union of g with a copy of itself."""
-    adj = [list(nbrs) for nbrs in g.adjacency]
-    adj.extend([w + g.n for w in nbrs] for nbrs in g.adjacency)
-    return from_adjacency(adj, g.degree_bound)
+    return disjoint_union(g, g)
 
 
 @st.composite

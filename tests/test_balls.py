@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from collections import Counter
@@ -16,7 +17,7 @@ from qhdecomp.balls import (
     extract_ball,
 )
 from qhdecomp.coloring import color_edges, random_b_labels
-from qhdecomp.errors import FormatError
+from qhdecomp.errors import FormatError, QhError, RadiusMismatchError
 from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_adjacency, relabel, spanned_subgraph, validate
 from qhdecomp.stats import StatVector, forget_colors, stat_vector
@@ -194,9 +195,9 @@ def test_census_canonicalizes_as_often_as_old_path(host, monkeypatch):
     calls = Counter()
     real = balls.canonical_code
 
-    def counted(ball):
+    def counted(ball, *args):
         calls[ball.radius] += 1
-        return real(ball)
+        return real(ball, *args)
 
     monkeypatch.setattr(balls, "canonical_code", counted)
     sv = stat_vector(g, 3, edge_colors=colors)
@@ -254,9 +255,9 @@ def test_stat_vector_matches_oracle_loop(monkeypatch):
     calls = Counter()
     real = balls.canonical_code
 
-    def counted(ball):
+    def counted(ball, *args):
         calls[ball.radius] += 1
-        return real(ball)
+        return real(ball, *args)
 
     monkeypatch.setattr(balls, "canonical_code", counted)
     for g, labels, width, colors in _form_hosts():
@@ -524,3 +525,123 @@ def test_radius_beyond_code_format_refused_before_bfs(monkeypatch):
         codes_at_radii(cycle(8), 0, range(1, 257))
     monkeypatch.undo()
     assert len(codes_at_radii(cycle(8), 0, range(1, 256))) == 255
+
+
+def test_radius_errors_are_typed():
+    # library callers get the typed errors the CLI refuses with exit 2
+    g = cycle(8)
+    with pytest.raises(RadiusMismatchError):
+        stat_vector(g, 0)
+    with pytest.raises(RadiusMismatchError):
+        census(g, ())
+    with pytest.raises(RadiusMismatchError):
+        codes_at_radii(g, 0, (-1,))
+    with pytest.raises(RadiusMismatchError):
+        extract_ball(g, 0, -1)
+    assert issubclass(RadiusMismatchError, QhError)
+
+
+class _CodeTable(dict):
+    """A raw-ball cache that counts the lookups of leaf encodings that find
+    their key."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = 0
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.hits += isinstance(key, bytes)
+        return value
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += isinstance(key, bytes) and value is not default
+        return value
+
+
+def _relabelled(g, labels, colors, rng):
+    perm = rng.sample(range(g.n), g.n)
+    new_labels = None
+    if labels is not None:
+        new_labels = [0] * g.n
+        for v, label in enumerate(labels):
+            new_labels[perm[v]] = label
+    new_colors = None if colors is None else {
+        (min(perm[u], perm[v]), max(perm[u], perm[v])): c for (u, v), c in colors.items()
+    }
+    return relabel(g, perm), new_labels, new_colors
+
+
+def _cycle_and_triangles(cycle_first: bool) -> RootedBall:
+    """Root joined to every vertex of a 6-cycle and of two triangles.
+
+    Refinement leaves the 12 neighbours in one cell, which is not an orbit,
+    so the first leaf is the least only when a triangle vertex comes first."""
+    ring = (1, 7)[not cycle_first]
+    tri = (7, 1)[not cycle_first]
+    edges = [(0, v) for v in range(1, 13)]
+    edges += [(ring + i, ring + (i + 1) % 6) for i in range(6)]
+    edges += [(tri + i + j, tri + i + (j + 1) % 3) for i in (0, 3) for j in range(3)]
+    return RootedBall(validate(edges, 13, 12), 1)
+
+
+def test_leaf_encodings_in_the_cache_are_sound():
+    # every encoding the search stores decodes to a ball whose code, found
+    # afresh, is the stored one
+    shared: dict = {}
+    for g, labels, width, colors in _form_hosts():
+        census(g, (1, 2, 3), labels, width, colors, shared)
+    for cycle_first in (False, True):
+        canonical_code(_cycle_and_triangles(cycle_first), shared)
+    encodings = {key: code for key, code in shared.items() if isinstance(key, bytes)}
+    assert len(encodings) > 50
+    assert any(key != code for key, code in encodings.items())
+    for key, code in encodings.items():
+        assert canonical_code(decode_code(key)) == code
+    # balls of relabelled hosts are numbered differently, so the probe
+    # answers many of them from the first leaf
+    known = _CodeTable()
+    rng = random.Random(5)
+    for g, labels, width, colors in _form_hosts():
+        for _ in range(2):
+            h, hl, hc = _relabelled(g, labels, colors, rng)
+            for x in range(0, h.n, 2):
+                for r in (2, 3):
+                    ball = extract_ball(h, x, r, hl, width, hc)
+                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
+    assert known.hits > 50
+
+
+def test_probe_ends_the_search_for_known_classes(monkeypatch):
+    # the 12x12 torus at R=3 has two non-tree codes (radii 2 and 3) among
+    # 31 raw balls: the search runs to completion once per code, and every
+    # other ball is answered at its first leaf
+    real = balls._search
+    runs = Counter()
+
+    def counted(ball, core, dist, form, known):
+        size = len(known)
+        code = real(ball, core, dist, form, known)
+        runs["full" if len(known) > size else "answered"] += 1
+        return code
+
+    monkeypatch.setattr(balls, "_search", counted)
+    cache = _CodeTable()
+    census(generate(FamilySpec("grid_torus", (12, 12))), (1, 2, 3), cache=cache)
+    assert runs == {"full": 2, "answered": 29}
+    assert cache.hits == 29
+
+
+def test_census_leaves_no_cyclic_garbage():
+    # the search's nested function refers to itself; unbinding it after the
+    # search frees the ball and the shared cache it holds at once, instead
+    # of keeping them until the next collection
+    g = generate(FamilySpec("grid_torus", (8, 8)))
+    gc.collect()
+    gc.disable()
+    try:
+        census(g, (1, 2, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -20,7 +20,7 @@ from qhdecomp.quasihom import (
 )
 from qhdecomp.stats import d_s, stat_vector
 
-from conftest import cycle, double, path, random_bounded_graph
+from conftest import cycle, disjoint_union, double, path, random_bounded_graph
 from oracles import anneal_chain, evaluate
 
 
@@ -63,6 +63,55 @@ def test_planted_two_block_violation():
 def test_exact_cap():
     with pytest.raises(TooLargeForExactError):
         check_exact(cycle(25), QuasihomParams(Fraction(1, 25), Fraction(1, 2), Fraction(1, 4), 1))
+
+
+def test_exact_beyond_cap_with_zero_boundary_budget():
+    # floor(epsilon * n) = 0 admits only unions of components, so graphs
+    # past the vertex cap get an exact verdict while they have at most
+    # EXHAUSTIVE_CAP components
+    p = QuasihomParams(Fraction(1, 100), Fraction(3, 10), Fraction(1, 10), 3)
+    verdict = check_exact(cycle(30), p)
+    assert verdict.status == HOLDS_EXACT and verdict.candidates_checked == 1
+    mixed = disjoint_union(cycle(22), generate(FamilySpec("grid_torus", (4, 4))))
+    split = check_exact(mixed, p)
+    assert split.status == VIOLATED
+    assert verify_certificate(mixed, split.witness, p)[0]
+    matching = validate([(2 * i, 2 * i + 1) for i in range(21)], 42, 1)
+    with pytest.raises(TooLargeForExactError):
+        check_exact(matching, p)
+
+
+def test_component_unions_match_plain_enumeration():
+    # with a boundary budget of 0 the scan over unions of components sees
+    # exactly the subsets the bitmask scan admits
+    rng = random.Random(11)
+    hosts = [
+        disjoint_union(cycle(6), path(5), cycle(4)),
+        disjoint_union(cycle(3), cycle(3), path(2), path(7)),
+        double(cycle(9)),
+        disjoint_union(path(1), path(1), cycle(5), path(6)),
+    ] + [random_bounded_graph(rng.randrange(10, 21), 2, rng, tries=rng.randrange(5, 12))
+         for _ in range(8)]
+    statuses = set()
+    for g in hosts:
+        assert len(connected_components(g)) > 1
+        for lam in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)):
+            for delta, R in ((Fraction(1, 20), 2), (Fraction(1, 8), 3), (Fraction(1, 4), 1)):
+                p = QuasihomParams(Fraction(1, 4 * g.n), lam, delta, R)
+                plain = check_exact(g, p)
+                components = quasihom._component_unions(
+                    connected_components(g), quasihom._size_threshold(p, g.n)
+                )
+                got = quasihom._scan(quasihom._evaluator(g, R), components, delta)
+                statuses.add(plain.status)
+                assert got.status == plain.status
+                if got.status == HOLDS_EXACT:
+                    assert (got.candidates_checked, got.near_misses) == (
+                        plain.candidates_checked, plain.near_misses
+                    )
+                else:
+                    assert verify_certificate(g, got.witness, p)[0]
+    assert statuses == {HOLDS_EXACT, VIOLATED}
 
 
 def test_verify_rejects_whole_and_small():
