@@ -79,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     g = sub.add_parser("generate", help="produce a family graph as an edge list")
-    g.add_argument("--kind", choices=sorted(families._MAKERS))
+    # union kinds take parts, which only --spec supplies
+    g.add_argument("--kind", choices=sorted(k for k, arity in families._ARITY.items() if arity))
     g.add_argument("--params", default="", help="comma-separated integers")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--bridges", type=int, default=0)
     g.add_argument("--spec", help="FamilySpec JSON file (overrides --kind)")
     g.add_argument("--out", required=True)
 
@@ -202,7 +202,7 @@ def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
         if not args.kind:
             raise QhError("either --spec or --kind is required")
         params = tuple(int(x) for x in args.params.split(",") if x != "")
-        spec = families.FamilySpec(args.kind, params, bridges=args.bridges, seed=args.seed)
+        spec = families.FamilySpec(args.kind, params, seed=args.seed)
     mw.record(spec=spec.to_json())
     mw.seed(seed=args.seed)
     g = families.generate(spec)

@@ -17,14 +17,7 @@ from fractions import Fraction
 from . import balls
 from .errors import EmptyGraphError, InconsistentPartitionError, KMismatchError
 from .graph import Graph, delete_edges, spanned_subgraph
-from .quasihom import (
-    NO_VIOLATION,
-    HOLDS_EXACT,
-    QuasihomParams,
-    QuasihomVerdict,
-    check_exact,
-    falsify_heuristic,
-)
+from .quasihom import VIOLATED, QuasihomParams, QuasihomVerdict, check_exact, falsify_heuristic
 from .stats import StatVector, d_s, mixture, stat_vector, tv_numerator
 
 SMOOTHING_MOVE_FACTOR = 10
@@ -271,6 +264,8 @@ def verify_partition(
     seed: int = 0,
 ) -> PartitionVerdict:
     """Check the four decomposition conditions at the declared strength."""
+    if mode not in (MODE_EXACT, MODE_HEURISTIC):
+        raise ValueError(f"unknown verification mode {mode!r}")
     _check_assignment(g, p)
     host_edges = set(g.edges())
     stored = set(p.deleted_edges)
@@ -304,11 +299,9 @@ def verify_partition(
         sub, _ = spanned_subgraph(g, p.part_vertices(i))
         if mode == MODE_EXACT:
             verdict = check_exact(sub, qp)
-            ok = verdict.status == HOLDS_EXACT
         else:
             verdict = falsify_heuristic(sub, qp, budget, seed + i)
-            ok = verdict.status == NO_VIOLATION
-        parts_quasihom_ok = parts_quasihom_ok and ok
+        parts_quasihom_ok = parts_quasihom_ok and verdict.status != VIOLATED
         parts.append(PartConditions(i, size, fraction, big, verdict))
 
     passed = deleted_ok and empty_part_ok and sizes_ok and parts_quasihom_ok

@@ -58,10 +58,15 @@ class FamilySpec:
         if unknown := doc.keys() - {"kind", "params", "parts", "bridges", "seed"}:
             raise FormatError(f"unknown family spec keys {sorted(unknown)}")
         params, parts = doc.get("params", []), doc.get("parts", [])
-        bridges, seed = doc.get("bridges", 0), doc.get("seed", 0)
-        if not (isinstance(params, list) and isinstance(parts, list)
-                and all(isinstance(x, int) for x in [*params, bridges, seed])):
+        if not (isinstance(params, list) and isinstance(parts, list)):
             raise FormatError(f"malformed family spec {doc!r}")
+        # integers as the schemas read them: 6.0 is 6, and true is not 1
+        numbers = [*params, doc.get("bridges", 0), doc.get("seed", 0)]
+        if not all(type(x) is int or type(x) is float and x.is_integer() for x in numbers):
+            raise FormatError(f"malformed family spec {doc!r}")
+        *params, bridges, seed = map(int, numbers)
+        if bridges < 0:
+            raise FormatError(f"family spec with negative bridges {bridges}")
         return FamilySpec(
             kind=doc["kind"],
             params=tuple(params),

@@ -222,10 +222,12 @@ def _component_unions(components: list[list[int]], s_min: int):
             yield sorted(chain.from_iterable(chosen))
 
 
-def _scan(ev: _SubsetEvaluator, candidates, delta: Fraction) -> QuasihomVerdict:
-    """Evaluate ``candidates`` in turn until one is a certified violation."""
-    near = 0
-    checked = 0
+def _scan(
+    ev: _SubsetEvaluator, candidates, delta: Fraction, none_found: str = HOLDS_EXACT
+) -> QuasihomVerdict:
+    """Evaluate ``candidates`` in turn until one is a certified violation;
+    without one, the verdict's status is ``none_found``."""
+    near = checked = 0
     for subset in candidates:
         stats = ev.evaluate(subset, delta)
         checked += 1
@@ -233,80 +235,60 @@ def _scan(ev: _SubsetEvaluator, candidates, delta: Fraction) -> QuasihomVerdict:
             return QuasihomVerdict(VIOLATED, tuple(subset), stats, near, checked)
         if stats.ds_value > delta:
             near += 1
-    return QuasihomVerdict(HOLDS_EXACT, None, None, near, checked)
+    return QuasihomVerdict(none_found, None, None, near, checked)
 
 
-def verify_certificate(
-    g: Graph, subset, p: QuasihomParams
-) -> tuple[bool, WitnessStats]:
+def verify_certificate(g: Graph, subset, p: QuasihomParams) -> tuple[bool, WitnessStats]:
     """Re-evaluate the three defining conditions plus the certified margin."""
     subset = sorted(set(subset))
     if not subset:
         return False, WitnessStats(Fraction(0), 0, Fraction(0), Fraction(1, 2 ** p.R), False)
-    ev = _evaluator(g, p.R)
+    if g.n == 0:
+        raise EmptyGraphError("statistics of the empty graph are undefined")
     if subset[0] < 0 or subset[-1] >= g.n:
         raise VertexSetMismatchError("subset vertex out of range")
-    stats = ev.evaluate(subset, p.delta)
+    stats = _evaluator(g, p.R).evaluate(subset, p.delta)
     ok = (
-        stats.size_fraction >= p.lam
-        and stats.boundary <= p.epsilon * g.n
+        len(subset) >= _size_threshold(p, g.n)
+        and stats.boundary <= _boundary_budget(p, g.n)
         and stats.certified
     )
     return ok, stats
 
 
-def falsify_heuristic(
-    g: Graph,
-    p: QuasihomParams,
-    budget: int,
-    seed: int = 0,
-) -> QuasihomVerdict:
+def falsify_heuristic(g: Graph, p: QuasihomParams, budget: int, seed: int = 0) -> QuasihomVerdict:
     """Randomized search for a violating subset on graphs of any size.
 
     Seeds come from BFS-grown regions and from unions of same-ball-code
     vertex classes; the rest of the budget drives annealing flips of
-    cut-adjacent vertices.  Never contradicts ``check_exact``: a subset is
-    reported only when the same certified-margin predicate holds.
+    cut-adjacent vertices.  Seeds and chains are one candidate stream that
+    ``_scan`` judges, as it judges ``check_exact``'s, so the heuristic
+    never contradicts ``check_exact``.
     """
     if g.n == 0:
         raise EmptyGraphError("statistics of the empty graph are undefined")
-    verdict = QuasihomVerdict(NO_VIOLATION)
     if budget <= 0:
-        return verdict
-    n = g.n
-    rng = Random(seed)
-    ev = _evaluator(g, p.R)
-    s_min = _size_threshold(p, n)
-    b_max = _boundary_budget(p, n)
+        return QuasihomVerdict(NO_VIOLATION)
+    s_min, b_max = _size_threshold(p, g.n), _boundary_budget(p, g.n)
+    candidates = _candidates(g, p, s_min, b_max, budget, Random(seed))
+    return _scan(_evaluator(g, p.R), candidates, p.delta, NO_VIOLATION)
 
-    def consider(subset) -> None:
-        subset = sorted(set(subset))
-        if not s_min <= len(subset) <= n:
-            return
-        if boundary_edge_count(g, subset) > b_max:
-            return
-        stats = ev.evaluate(subset, p.delta)
-        verdict.candidates_checked += 1
-        if stats.certified:
-            verdict.status = VIOLATED
-            verdict.witness = tuple(subset)
-            verdict.witness_stats = stats
-        elif stats.ds_value > p.delta:
-            verdict.near_misses += 1
 
+def _candidates(g: Graph, p: QuasihomParams, s_min: int, b_max: int, budget: int, rng: Random):
+    """The admissible seeds, then the annealing chains.  Each seed and each
+    annealing iteration spends one unit of ``budget``, admissible or not."""
     spent = 0
     for subset in _seed_candidates(g, p, s_min, rng):
-        if spent >= budget or verdict.status == VIOLATED:
-            return verdict
-        consider(subset)
+        if spent >= budget:
+            return
         spent += 1
-
-    # annealing chains on the remaining budget
-    while spent < budget and verdict.status != VIOLATED:
+        subset = sorted(set(subset))
+        if len(subset) >= s_min and boundary_edge_count(g, subset) <= b_max:
+            yield subset
+    while spent < budget:
         chain = min(budget - spent, max(200, budget // 4))
-        _anneal_chain(g, p, s_min, b_max, chain, rng, consider, verdict)
+        yield from _anneal_chain(g, p, s_min, b_max, chain, rng)
         spent += chain
-    return verdict
 
 
 def _seed_candidates(g: Graph, p: QuasihomParams, s_min: int, rng: Random):
@@ -357,7 +339,9 @@ def _grow_bfs(g: Graph, start: int, target: int):
     return order[:target]
 
 
-def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
+def _anneal_chain(g, p, s_min, b_max, iterations, rng):
+    """The sorted members of each admissible state at the evaluation stride;
+    size and boundary are tracked exactly, so none needs a recount."""
     n = g.n
     adj = g.adjacency
     member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
@@ -413,6 +397,4 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
             and boundary <= b_max
             and size < n
         ):
-            consider([u for u in range(n) if member[u]])
-            if verdict.status == VIOLATED:
-                return
+            yield [u for u in range(n) if member[u]]

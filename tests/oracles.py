@@ -31,7 +31,7 @@ from qhdecomp import balls
 from qhdecomp.balls import RootedBall
 from qhdecomp.errors import FormatError, RadiusMismatchError
 from qhdecomp.graph import Graph, boundary_edge_count, from_adjacency, spanned_subgraph
-from qhdecomp.quasihom import VIOLATED, QuasihomParams, WitnessStats
+from qhdecomp.quasihom import QuasihomParams, WitnessStats
 from qhdecomp.stats import StatVector, stat_vector
 
 
@@ -329,7 +329,7 @@ def evaluate(g: Graph, base: StatVector, subset, p: QuasihomParams) -> WitnessSt
     )
 
 
-def anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
+def anneal_chain(g, p, s_min, b_max, iterations, rng):
     n = g.n
     adj = g.adjacency
     member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
@@ -375,9 +375,7 @@ def anneal_chain(g, p, s_min, b_max, iterations, rng, consider, verdict):
             and boundary <= b_max
             and size < n
         ):
-            consider([u for u in range(n) if member[u]])
-            if verdict.status == VIOLATED:
-                return
+            yield [u for u in range(n) if member[u]]
 
 
 def codes_at_radii(

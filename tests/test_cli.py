@@ -47,6 +47,16 @@ def test_generate_round_trip(workdir):
     assert to_edge_list(g) == out.read_text()
 
 
+def test_generate_spec_reads_integral_floats(workdir):
+    # the family_specs schema admits 6.0 as an integer; a bare spec used to refuse it
+    spec = workdir / "spec.json"
+    spec.write_text(json.dumps({"kind": "cycle", "params": [6.0]}))
+    a, b = workdir / "a.el", workdir / "b.el"
+    assert main(["generate", "--spec", str(spec), "--out", str(a)]) == 0
+    assert main(["generate", "--kind", "cycle", "--params", "6", "--out", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+
+
 def test_generated_families_round_trip_bit_exact(workdir):
     specs = [
         FamilySpec("cycle", (13,)),
@@ -519,6 +529,17 @@ BAD_ARGV = {
     "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1, "kind"),
     "cycle_arity": (["generate", "--kind", "cycle", "--params", "3,4", "--out", "g.el"],
                     1, "params"),
+    # `true` used to be written as the vertex count `True`
+    "spec_bool_param": (["generate", "--spec", "bool.json", "--out", "g.el"], 1, "family spec"),
+    # used to reach rng.sample and exit with its untyped message
+    "spec_negative_bridges": (["generate", "--spec", "bridges.json", "--out", "g.el"],
+                              1, "negative bridges"),
+    # --bridges never changed a run, and union kinds need parts, which only
+    # --spec supplies
+    "generate_bridges": (["generate", "--kind", "cycle", "--params", "7", "--bridges", "3",
+                          "--out", "g.el"], 2, "--bridges"),
+    "generate_union_kind": (["generate", "--kind", "bridged_union", "--out", "g.el"],
+                            2, "--kind"),
     "radius_zero": (["stats", "--input", "c.el", "--radius", "0", "--out", "s.json"],
                     2, "--radius"),
     # codes hold radii up to 255; --radius 300000 used to run out of memory
@@ -575,6 +596,10 @@ def test_bad_arguments_exit_cleanly(workdir, case):
     argv, code, word = BAD_ARGV[case]
     main(["generate", "--kind", "cycle", "--params", "8", "--out", str(workdir / "c.el")])
     (workdir / "nokind.json").write_text(json.dumps({"params": [5]}))
+    (workdir / "bool.json").write_text(json.dumps({"kind": "path", "params": [True]}))
+    (workdir / "bridges.json").write_text(json.dumps({
+        "kind": "bridged_union", "parts": [{"kind": "cycle", "params": [3]}] * 2, "bridges": -1,
+    }))
     proc = run_cli(argv, cwd=workdir)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr and word in proc.stderr
@@ -587,9 +612,10 @@ _FILES = ["c.el", "t.el", "s.json", "p.json", "specs.json", "spec.json", "missin
 _OUTS = ["o.el", "o.json"]
 # flag -> values drawn for it; None marks a bare switch
 _FLAGS = {
-    "generate": {"--kind": ["cycle", "path", "grid_torus", "random_regular", "nope"],
+    "generate": {"--kind": ["cycle", "path", "grid_torus", "random_regular", "bridged_union",
+                            "nope"],
                  "--params": _NUMBERS + ["8,3", "3,3", "4"], "--seed": _NUMBERS,
-                 "--bridges": _NUMBERS, "--spec": _FILES, "--out": _OUTS},
+                 "--spec": _FILES, "--out": _OUTS},
     "stats": {"--input": _FILES, "--radius": _NUMBERS, "--colors": _FILES,
               "--dump-atlas": _OUTS, "--out": _OUTS},
     "distance": {"--a": _FILES, "--b": _FILES, "--out": _OUTS},

@@ -221,6 +221,16 @@ def test_verify_exact_mode_small_parts():
     assert verdict.passed
 
 
+def test_verify_rejects_unknown_mode():
+    # a misspelt mode used to run the heuristic and report passed: True
+    g = torus(6, 6)
+    p = _partition_for(g, [1] * g.n, 1)
+    with pytest.raises(ValueError, match="exakt"):
+        verify_partition(g, p, Fraction(3, 10), Fraction(3, 10), Fraction(1, 10), 2, mode="exakt")
+    with pytest.raises(ValueError, match="nope"):
+        part_size_threshold(Fraction(1, 2), 3, 4, "nope")
+
+
 def test_splitting_mixture_identity_cycle_arcs():
     items = []
     for m in (4, 6, 8):

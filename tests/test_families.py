@@ -80,10 +80,17 @@ def test_infeasible_specs():
         FamilySpec("cycle", (3, 4))
     with pytest.raises(InfeasibleSpecError):
         FamilySpec("disjoint_union", (3,), parts=(FamilySpec("cycle", (3,)),))
+    # true used to read as the integer 1; negative bridges used to reach rng.sample
     for doc in ({"params": [5]}, [], {"kind": "cycle", "params": 5},
-                {"kind": "cycle", "params": [5], "bridge": 1}):
+                {"kind": "cycle", "params": [5], "bridge": 1},
+                {"kind": "path", "params": [True]},
+                {"kind": "bridged_union", "parts": [{"kind": "cycle", "params": [3]}] * 2,
+                 "bridges": -1}):
         with pytest.raises(FormatError):
             FamilySpec.from_json(doc)
+    # an integral float is an integer, as the family_specs schema reads it
+    six = FamilySpec.from_json({"kind": "cycle", "params": [6.0]})
+    assert six == FamilySpec("cycle", (6,)) and type(six.params[0]) is int
 
 
 def test_torus_local_flatness():

@@ -122,9 +122,14 @@ def test_verify_rejects_whole_and_small():
     assert verify_certificate(g, [], p)[0] is False
 
 
-def test_budget_zero_is_empty_search():
+def test_budget_zero_is_empty_search(monkeypatch):
     g = cycle(12)
     p = QuasihomParams(Fraction(1, 12), Fraction(1, 2), Fraction(1, 4), 2)
+
+    def no_evaluator(*args):
+        raise AssertionError("an evaluator was built for an empty search")
+
+    monkeypatch.setattr(quasihom, "_evaluator", no_evaluator)
     verdict = falsify_heuristic(g, p, budget=0)
     assert verdict.status == NO_VIOLATION and verdict.candidates_checked == 0
 
@@ -452,15 +457,16 @@ def _anneal_corpus():
     ]
 
 
+_ANNEAL_PARAMS = [
+    QuasihomParams(Fraction(1, 8), Fraction(1, 2), Fraction(1, 5), 2),
+    QuasihomParams(Fraction(1, 6), Fraction(3, 10), Fraction(1, 5), 3),
+]
+
+
 def test_anneal_matches_randrange_reference(monkeypatch):
-    F = Fraction
-    params = [
-        QuasihomParams(F(1, 8), F(1, 2), F(1, 5), 2),
-        QuasihomParams(F(1, 6), F(3, 10), F(1, 5), 3),
-    ]
     fields = ("status", "witness", "candidates_checked", "near_misses", "witness_stats")
     for i, g in enumerate(_anneal_corpus()):
-        p = params[i % 2]
+        p = _ANNEAL_PARAMS[i % 2]
         for seed in range(5):
             budget = (200, 700, 3000)[(i + seed) % 3]
             monkeypatch.setattr(quasihom, "_anneal_chain", anneal_chain)
@@ -469,3 +475,34 @@ def test_anneal_matches_randrange_reference(monkeypatch):
             got = falsify_heuristic(g, p, budget, seed)
             for name in fields:
                 assert getattr(got, name) == getattr(want, name), (g.n, seed, budget, name)
+
+
+def test_anneal_yields_only_admissible_sets():
+    # the candidate stream passes these to the evaluator without a recount
+    yielded = 0
+    for g in _anneal_corpus():
+        for p in _ANNEAL_PARAMS:
+            s_min = quasihom._size_threshold(p, g.n)
+            b_max = quasihom._boundary_budget(p, g.n)
+            for seed in range(3):
+                rng = random.Random(seed)
+                for subset in quasihom._anneal_chain(g, p, s_min, b_max, 700, rng):
+                    assert all(a < b for a, b in zip(subset, subset[1:]))
+                    assert s_min <= len(subset) < g.n
+                    assert boundary_edge_count(g, subset) <= b_max
+                    yielded += 1
+    assert yielded > 500
+
+
+def test_seed_witness_never_starts_a_chain(monkeypatch):
+    # _scan stops resuming the stream at the first violation, so a witness
+    # among the seeds returns before any annealing chain is built
+    g, p = _anneal_corpus()[4], _ANNEAL_PARAMS[1]
+    want = falsify_heuristic(g, p, 700, 0)
+    assert want.status == VIOLATED
+
+    def no_chain(*args):
+        raise AssertionError("an annealing chain started after a seed witness")
+
+    monkeypatch.setattr(quasihom, "_anneal_chain", no_chain)
+    assert falsify_heuristic(g, p, 700, 0) == want
