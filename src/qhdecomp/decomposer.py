@@ -49,11 +49,14 @@ class Partition:
 
 def _check_assignment(g: Graph, p: Partition) -> None:
     """``g`` must be nonempty, and ``p`` must assign each of its vertices
-    to the leftover part 0 or to one of the parts 1..K."""
+    to the leftover part 0 or to one of the parts 1..K, with K <= n."""
     if g.n == 0:
         raise EmptyGraphError("partition conditions of the empty graph are undefined")
     if p.n != g.n or len(p.assignment) != g.n:
         raise InconsistentPartitionError("partition host size mismatch")
+    if p.K > g.n:
+        # every check loops over the parts 1..K
+        raise InconsistentPartitionError(f"K = {p.K} parts for {g.n} vertices")
     for v, i in enumerate(p.assignment):
         if not 0 <= i <= p.K:
             raise InconsistentPartitionError(f"vertex {v} is in part {i}, outside 0..{p.K}")

@@ -14,11 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 from math import ceil, exp, floor
 from random import Random
-
-import numpy as np
 
 from . import balls
 from .errors import EmptyGraphError, TooLargeForExactError, VertexSetMismatchError
@@ -109,8 +107,9 @@ class _SubsetEvaluator:
         self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
         self.members = [tuple(balls._bfs(g, v, R)[0]) for v in range(g.n)]
 
-    def evaluate(self, subset: list[int], delta: Fraction) -> WitnessStats:
-        """Statistics of G[subset]; ``subset`` is sorted, distinct, nonempty."""
+    def evaluate(self, subset: list[int], boundary: int, delta: Fraction) -> WitnessStats:
+        """Statistics of G[subset], whose ``boundary`` the caller counted;
+        ``subset`` is sorted, distinct, nonempty."""
         if len(self.codes) > _MAX_CACHED_CODES:
             self.codes.clear()
         if len(self.local) > _MAX_CACHED_CODES:
@@ -145,7 +144,7 @@ class _SubsetEvaluator:
         tail = Fraction(1, 2 ** self.R)
         return WitnessStats(
             size_fraction=Fraction(m, n),
-            boundary=boundary_edge_count(self.g, subset),
+            boundary=boundary,
             ds_value=value,
             tail=tail,
             certified=value > delta + tail,
@@ -157,79 +156,77 @@ def _evaluator(g: Graph, R: int) -> _SubsetEvaluator:
     return _SubsetEvaluator(g, R)
 
 
-def _mask_filter(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Size and boundary of every vertex subset, indexed by bitmask.
-
-    Built by doubling: adding v to S ⊆ {0..v-1} adds one vertex and
-    deg(v) - 2|S ∩ N(v)| boundary edges, so the entries for masks in
-    [2^v, 2^(v+1)) follow from those below 2^v.
-    """
-    n = g.n
-    masks = np.arange(1 << max(0, n - 1), dtype=np.uint64)
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    boundary = np.zeros(1 << n, dtype=np.int32)
-    for v in range(n):
-        low, high = slice(0, 1 << v), slice(1 << v, 2 << v)
-        earlier = np.uint64(sum(1 << w for w in g.adjacency[v] if w < v))
-        joined = np.bitwise_count(masks[low] & earlier).astype(np.int32)
-        sizes[high] = sizes[low] + 1
-        boundary[high] = boundary[low] + (g.degree(v) - 2 * joined)
-    return sizes, boundary
-
-
 def check_exact(g: Graph, p: QuasihomParams) -> QuasihomVerdict:
     """Enumerate every admissible vertex subset; first certified violation
-    wins.
-
-    Up to ``EXHAUSTIVE_CAP`` vertices, subsets are scanned in ascending
-    bitmask order.  Beyond it only a boundary budget of 0 is enumerable:
-    the admissible subsets are then the unions of connected components,
-    scanned in ascending bitmask order over the components, and at most
-    ``EXHAUSTIVE_CAP`` components are allowed.  Candidates whose distance
-    exceeds delta but not delta + tail are counted as uncertified near
-    misses and do not stop the scan.
+    wins.  Up to ``EXHAUSTIVE_CAP`` vertices, the blocks ``_unions`` joins
+    are single vertices.  Beyond it only a boundary budget of 0 is
+    enumerable, by unions of at most ``EXHAUSTIVE_CAP`` connected
+    components.  Candidates whose distance exceeds delta but not delta +
+    tail count as uncertified near misses and do not stop the scan.
     """
     n = g.n
     s_min = _size_threshold(p, n)
     b_max = _boundary_budget(p, n)
     if n <= EXHAUSTIVE_CAP:
-        ev = _evaluator(g, p.R)
-        sizes, boundary = _mask_filter(g)
-        qualifying = np.flatnonzero((sizes >= s_min) & (boundary <= b_max)).tolist()
-        candidates = ([v for v in range(n) if (mask >> v) & 1] for mask in qualifying)
+        blocks = [[v] for v in range(n)]
     elif b_max > 0:
         raise TooLargeForExactError(
             f"{n} vertices > exhaustive cap {EXHAUSTIVE_CAP} with boundary budget {b_max}"
         )
     else:
-        components = connected_components(g)
-        if len(components) > EXHAUSTIVE_CAP:
+        blocks = connected_components(g)
+        if len(blocks) > EXHAUSTIVE_CAP:
             raise TooLargeForExactError(
-                f"{len(components)} components > exhaustive cap {EXHAUSTIVE_CAP}"
+                f"{len(blocks)} components > exhaustive cap {EXHAUSTIVE_CAP}"
             )
-        ev = _evaluator(g, p.R)
-        candidates = _component_unions(components, s_min)
-    return _scan(ev, candidates, p.delta)
+    return _scan(_evaluator(g, p.R), _unions(g, blocks, s_min, b_max), p.delta)
 
 
-def _component_unions(components: list[list[int]], s_min: int):
-    """Sorted unions of at least ``s_min`` vertices of ``components``, in
-    ascending bitmask order over the components: the subsets no edge
-    leaves."""
-    for mask in range(1, 1 << len(components)):
-        chosen = [c for i, c in enumerate(components) if (mask >> i) & 1]
-        if sum(map(len, chosen)) >= s_min:
-            yield sorted(chain.from_iterable(chosen))
+def _unions(g: Graph, blocks: list[list[int]], s_min: int, b_max: int):
+    """(sorted union, boundary) of each union of ``blocks`` with at least
+    ``s_min`` vertices and at most ``b_max`` boundary edges, in ascending
+    bitmask order over the blocks: a depth-first branch decides the blocks
+    from the last down, each left out before taken in.  The cut between
+    decided blocks only grows, so a branch ends once it passes ``b_max`` or
+    once the size can no longer reach ``s_min``."""
+    where = {v: i for i, block in enumerate(blocks) for v in block}
+    # ups[i]: (j, edges between blocks i and j) for each later block j
+    ups = [Counter() for _ in blocks]
+    for u, v in g.edges():
+        i, j = sorted((where[u], where[v]))
+        if i != j:
+            ups[i][j] += 1
+    ups = [list(up.items()) for up in ups]
+    below = [0, *accumulate(map(len, blocks))]  # below[i]: vertices in blocks 0..i-1
+    k = len(blocks)
+    inside = [False] * k
+    # (block, taken, size and cut before deciding it); out is popped first
+    stack = [(k - 1, True, 0, 0), (k - 1, False, 0, 0)]
+    while stack:
+        i, taken, size, cut = stack.pop()
+        inside[i] = taken
+        if taken:
+            size += len(blocks[i])
+        for j, m in ups[i]:
+            if inside[j] != taken:
+                cut += m
+        if cut > b_max or size + below[i] < s_min:
+            continue
+        if i:
+            stack.append((i - 1, True, size, cut))
+            stack.append((i - 1, False, size, cut))
+        else:
+            yield sorted(chain.from_iterable(b for b, t in zip(blocks, inside) if t)), cut
 
 
 def _scan(
     ev: _SubsetEvaluator, candidates, delta: Fraction, none_found: str = HOLDS_EXACT
 ) -> QuasihomVerdict:
-    """Evaluate ``candidates`` in turn until one is a certified violation;
-    without one, the verdict's status is ``none_found``."""
+    """Evaluate the (subset, boundary) ``candidates`` in turn until one is a
+    certified violation; without one, the verdict's status is ``none_found``."""
     near = checked = 0
-    for subset in candidates:
-        stats = ev.evaluate(subset, delta)
+    for subset, boundary in candidates:
+        stats = ev.evaluate(subset, boundary, delta)
         checked += 1
         if stats.certified:
             return QuasihomVerdict(VIOLATED, tuple(subset), stats, near, checked)
@@ -247,7 +244,7 @@ def verify_certificate(g: Graph, subset, p: QuasihomParams) -> tuple[bool, Witne
         raise EmptyGraphError("statistics of the empty graph are undefined")
     if subset[0] < 0 or subset[-1] >= g.n:
         raise VertexSetMismatchError("subset vertex out of range")
-    stats = _evaluator(g, p.R).evaluate(subset, p.delta)
+    stats = _evaluator(g, p.R).evaluate(subset, boundary_edge_count(g, subset), p.delta)
     ok = (
         len(subset) >= _size_threshold(p, g.n)
         and stats.boundary <= _boundary_budget(p, g.n)
@@ -275,16 +272,16 @@ def falsify_heuristic(g: Graph, p: QuasihomParams, budget: int, seed: int = 0) -
 
 
 def _candidates(g: Graph, p: QuasihomParams, s_min: int, b_max: int, budget: int, rng: Random):
-    """The admissible seeds, then the annealing chains.  Each seed and each
-    annealing iteration spends one unit of ``budget``, admissible or not."""
+    """(subset, boundary) of the admissible seeds, then of the annealing chains.
+    Each seed and each annealing iteration spends one unit of ``budget``."""
     spent = 0
     for subset in _seed_candidates(g, p, s_min, rng):
         if spent >= budget:
             return
         spent += 1
         subset = sorted(set(subset))
-        if len(subset) >= s_min and boundary_edge_count(g, subset) <= b_max:
-            yield subset
+        if len(subset) >= s_min and (boundary := boundary_edge_count(g, subset)) <= b_max:
+            yield subset, boundary
     while spent < budget:
         chain = min(budget - spent, max(200, budget // 4))
         yield from _anneal_chain(g, p, s_min, b_max, chain, rng)
@@ -340,8 +337,8 @@ def _grow_bfs(g: Graph, start: int, target: int):
 
 
 def _anneal_chain(g, p, s_min, b_max, iterations, rng):
-    """The sorted members of each admissible state at the evaluation stride;
-    size and boundary are tracked exactly, so none needs a recount."""
+    """(sorted members, boundary) of each admissible state at the evaluation
+    stride; size and boundary are tracked exactly, so none needs a recount."""
     n = g.n
     adj = g.adjacency
     member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
@@ -397,4 +394,4 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng):
             and boundary <= b_max
             and size < n
         ):
-            yield [u for u in range(n) if member[u]]
+            yield [u for u in range(n) if member[u]], boundary

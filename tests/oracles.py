@@ -375,7 +375,7 @@ def anneal_chain(g, p, s_min, b_max, iterations, rng):
             and boundary <= b_max
             and size < n
         ):
-            yield [u for u in range(n) if member[u]]
+            yield [u for u in range(n) if member[u]], boundary
 
 
 def codes_at_radii(

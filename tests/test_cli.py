@@ -144,6 +144,18 @@ def test_check_quasihom_verdict_json(workdir):
     assert doc["status"] == "holds_exact"
 
 
+def test_exact_verdict_runs_without_numpy(workdir):
+    # the library needs numpy nowhere: a None entry in sys.modules makes
+    # any import of it fail
+    (workdir / "g.el").write_text(to_edge_list(generate(FamilySpec("path", (16,)))))
+    code = ("import sys; sys.modules['numpy'] = None; from qhdecomp.cli import main; "
+            "sys.exit(main(['check-quasihom', '--exact', '--input', 'g.el', '--epsilon', '1/8', "
+            "'--lambda', '3/10', '--delta', '1/5', '--radius', '2', '--out', 'v.json']))")
+    proc = run_python(["-c", code], cwd=workdir, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((workdir / "v.json").read_text())["candidates_checked"] > 1
+
+
 def test_coarse_radius_is_noted_on_stderr(workdir, capsys):
     # a verdict at radius R rules out only subsets with d_s > delta + 2^-R;
     # the three verdict commands say so once when 2^-R >= delta
@@ -484,6 +496,17 @@ def test_bad_assignments_exit_cleanly(workdir):
     _cycle_and_path_files(workdir, [1] * 20 + [2] * 20, 2)
     proc = run_cli(_VERIFY, cwd=workdir)
     assert proc.returncode == 0 and "passed: False" in proc.stdout
+    (workdir / "v.json").unlink()
+    # a declared K of 10^9 on the 3-vertex path used to loop over every part
+    (workdir / "g.el").write_text("3 2\n0 1\n1 2\n")
+    (workdir / "p.json").write_text(json.dumps({
+        "format_version": 1, "kind": "partition", "n": 3, "K": 10 ** 9,
+        "assignment": [1, 1, 1], "deleted_edges": []}))
+    for argv in (_VERIFY, _SPLIT):
+        proc = run_cli(argv, cwd=workdir, timeout=60)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "K = 1000000000 parts" in proc.stderr
+    assert not (workdir / "v.json").exists() and not (workdir / "s.json").exists()
 
 
 def test_malformed_embedded_verdict_exits_cleanly(workdir):

@@ -169,6 +169,18 @@ def test_verify_trivial_partition_passes():
     assert verdict.passed
 
 
+def test_declared_k_beyond_vertex_count_is_refused():
+    # both checks loop over the parts 1..K, so a huge K used to hang them
+    g = cycle(3)
+    p = Partition(3, (1, 1, 1), 10 ** 9, ())
+    with pytest.raises(InconsistentPartitionError, match="K = 1000000000 parts for 3 vertices"):
+        verify_partition(g, p, Fraction(1, 2), Fraction(3, 10), Fraction(1, 10), 1)
+    with pytest.raises(InconsistentPartitionError, match="K = 1000000000 parts"):
+        splitting_diagnostics([(g, p)], 1)
+    # K = n is a partition into singletons
+    assert splitting_diagnostics([(g, Partition(3, (1, 2, 3), 3, tuple(g.edges())))], 1).K == 3
+
+
 def test_verify_rejects_total_deletion():
     g = cycle(10)
     p = Partition(10, tuple([1] * 5 + [2] * 5), 2, tuple(g.edges()))

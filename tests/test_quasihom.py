@@ -99,8 +99,8 @@ def test_component_unions_match_plain_enumeration():
             for delta, R in ((Fraction(1, 20), 2), (Fraction(1, 8), 3), (Fraction(1, 4), 1)):
                 p = QuasihomParams(Fraction(1, 4 * g.n), lam, delta, R)
                 plain = check_exact(g, p)
-                components = quasihom._component_unions(
-                    connected_components(g), quasihom._size_threshold(p, g.n)
+                components = quasihom._unions(
+                    g, connected_components(g), quasihom._size_threshold(p, g.n), 0
                 )
                 got = quasihom._scan(quasihom._evaluator(g, R), components, delta)
                 statuses.add(plain.status)
@@ -308,20 +308,26 @@ def test_evaluator_matches_reference():
             base = stat_vector(g, R)
             ev = quasihom._evaluator(g, R)
             for subset in subsets:
-                assert ev.evaluate(subset, p.delta) == evaluate(g, base, subset, p), (g, R, subset)
+                got = ev.evaluate(subset, boundary_edge_count(g, subset), p.delta)
+                assert got == evaluate(g, base, subset, p), (g, R, subset)
 
 
-def test_mask_filter_matches_bruteforce():
+def test_unions_match_bruteforce():
+    # over single-vertex blocks the branch yields exactly the admissible
+    # subsets in ascending bitmask order, each with its boundary
     rng = random.Random(23)
     graphs = [validate([], 1, 1), cycle(5), path(6), _with_isolated_vertex(cycle(7))]
     graphs += [random_bounded_graph(rng.randint(2, 10), 3, rng) for _ in range(6)]
     for g in graphs:
-        sizes, boundary = quasihom._mask_filter(g)
-        assert len(sizes) == len(boundary) == 1 << g.n
-        for mask in range(1 << g.n):
+        every = []
+        for mask in range(1, 1 << g.n):
             subset = [v for v in range(g.n) if (mask >> v) & 1]
-            assert sizes[mask] == len(subset)
-            assert boundary[mask] == boundary_edge_count(g, subset)
+            every.append((subset, boundary_edge_count(g, subset)))
+        blocks = [[v] for v in range(g.n)]
+        for s_min in range(1, g.n + 2):
+            for b_max in range(g.edge_count() + 1):
+                want = [(s, b) for s, b in every if len(s) >= s_min and b <= b_max]
+                assert list(quasihom._unions(g, blocks, s_min, b_max)) == want, (g, s_min, b_max)
 
 
 def _verdict_corpus():
@@ -486,10 +492,10 @@ def test_anneal_yields_only_admissible_sets():
             b_max = quasihom._boundary_budget(p, g.n)
             for seed in range(3):
                 rng = random.Random(seed)
-                for subset in quasihom._anneal_chain(g, p, s_min, b_max, 700, rng):
+                for subset, boundary in quasihom._anneal_chain(g, p, s_min, b_max, 700, rng):
                     assert all(a < b for a, b in zip(subset, subset[1:]))
                     assert s_min <= len(subset) < g.n
-                    assert boundary_edge_count(g, subset) <= b_max
+                    assert boundary == boundary_edge_count(g, subset) <= b_max
                     yielded += 1
     assert yielded > 500
 
