@@ -32,13 +32,20 @@ degree sums, so a tree ball whose form is known is never reindexed.  Any
 other ball is keyed by the raw numbered ball.  Either way the code bytes
 come from ``canonical_code`` run on the first ball of each key.
 
-The raw-ball cache also maps leaf encodings to codes (bytes keys, where raw
-keys are tuples): the search serializes a ball in the order of its first
-leaf and returns the stored code when those bytes are known, so a class of
-non-tree balls pays one full search however its copies are numbered.  That
-is exact because the layout decodes uniquely and a leaf order starts at the
-root: equal encodings are isomorphic balls, labels, colours and radius
-included.
+The raw-ball cache also maps core keys and leaf encodings to codes, and
+``canonical_code`` probes them in that order after the raw key or tree form
+has missed.  A core key (a tuple that starts with the radius, where a raw
+key starts with a tuple of radii) holds a ball's core in ball order with
+each core vertex's pendant AHU form, so two numberings of a ball that
+differ only inside pendant trees share it, and it answers before any
+search.  On a miss the search serializes the ball in the order of its
+first leaf and returns the stored code when those bytes (a bytes key) are
+known, so a class of non-tree balls pays one full search however its copies
+are numbered.  Both are exact, not hashes.  Equal core keys map core to
+core with adjacency, labels and colours kept, and the forms fix every
+pendant tree.  The code layout decodes uniquely and a leaf order starts at
+the root, so equal encodings are isomorphic balls.  Radius, label width and
+flags are in both.
 
 ``canonical_code`` strips pendant trees into AHU forms that carry their
 sizes, refines the remaining core by splitters (each round recomputes only
@@ -149,7 +156,7 @@ def codes_at_radii(
     one probe usually answers a call.  On a miss the radii are walked down
     to the largest hit, and only the balls above it are canonicalized and
     stored; ``canonical_code`` also reads and fills ``cache`` as its table
-    of leaf encodings.
+    of core keys and leaf encodings.
 
     ``forms``, built for ``g`` with the same labels and colours, keys tree
     balls by their root form instead: the balls up to the largest tree
@@ -313,17 +320,66 @@ def _ball(g, rows, r, labels, label_width, colors) -> RootedBall:
 
 
 def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
-    """Code bytes of ``ball``.  ``known``, when given, maps encodings of
-    balls in some order that starts at the root to their codes; it is read
-    and filled by the search (``_search``)."""
+    """Code bytes of ``ball``.
+
+    ``known``, when given, maps core keys (``_core_key``) and encodings of
+    balls in some order that starts at the root to their codes.  A tree
+    ball is serialized from its forms at once.  A ball with pendant trees
+    is looked up by its core key, which is exact because equal keys are
+    isomorphic balls; then the search (``_search``) probes the encoding of
+    its first leaf and, on a miss there too, runs in full.  The core key is
+    stored with the code the search returns.  A ball with nothing stripped
+    skips the core key, which would only restate the numbered ball.
+    """
     if ball.graph.n > 0xFFFF:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
+    if ball.labels is not None and not 0 <= ball.label_width <= 0xFF:
+        raise FormatError(f"label width {ball.label_width} outside 0..255")
+    colors = ball.edge_colors
+    if colors and not 0 <= min(colors.values()) <= max(colors.values()) <= 0xFFFF:
+        raise FormatError("edge colours must lie in 0..65535 to encode")
     core, dist, form = _strip_pendants(ball)
     if len(core) == 1:
         return _serialize(ball, core, form)
-    return _search(ball, core, dist, form, known)
+    if known is None or len(core) == ball.graph.n:
+        return _search(ball, core, dist, form, known)
+    key = _core_key(ball, core, form)
+    code = known.get(key)
+    if code is None:
+        code = known[key] = _search(ball, core, dist, form, known)
+    return code
+
+
+def _core_key(ball: RootedBall, core, form) -> tuple:
+    """The radius, label width and flags of ``ball``, then per core vertex,
+    in ball order, its form and its later core neighbours by core position,
+    each paired with the edge's colour when the ball has colours.
+
+    Equal keys give isomorphic balls: the root is core vertex 0 in both,
+    matching core positions preserve adjacency, labels and colours, and
+    each form fixes the pendant trees hung on its vertex.  So a key may
+    stand for the code.  Its first item is an int, where a raw key's is a
+    tuple of radii and an encoding is bytes, so it meets neither.
+    """
+    nbrs = ball.graph.adjacency
+    labels, colors = ball.labels, ball.edge_colors
+    pos = {v: i for i, v in enumerate(core)}
+    key = [
+        ball.radius,
+        ball.label_width if labels is not None else 0,
+        (labels is not None) | (colors is not None) << 1,
+    ]
+    for i, v in enumerate(core):
+        # core positions follow ball ids, so later positions are larger ids
+        ups = [w for w in nbrs[v] if pos.get(w, -1) > i]
+        key.append(form[v])
+        key.append(
+            tuple(map(pos.__getitem__, ups)) if colors is None
+            else tuple((pos[w], colors[v, w]) for w in ups)
+        )
+    return tuple(key)
 
 
 # --- canonicalization -------------------------------------------------------

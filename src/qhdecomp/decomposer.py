@@ -129,7 +129,9 @@ def _agglomerate(g, codes, classes, K_max):
 
     Cost for C classes: O(C^2) distance evaluations up front, one per pair,
     then O(C) per merge, since only the merged cluster's row changes.  Each
-    merge still scans the O(C^2) cached keys for the least one.
+    merge still scans the O(C^2) cached keys for the least one; each key
+    leads with the float of its tv, so that scan compares floats and
+    reaches the exact tv only on float ties.
     """
     clusters: list[list[int]] = []
     envs: list[dict[bytes, int]] = []
@@ -153,12 +155,14 @@ def _agglomerate(g, codes, classes, K_max):
             tv = Fraction(1) if (ta or tb) else Fraction(0)
         else:
             tv = Fraction(tv_numerator(a, ta, b, tb), 2 * ta * tb)
-        return (tv, firsts[i], firsts[j], i, j)
+        # a Fraction's float is correctly rounded, so float order never
+        # contradicts exact order, and the exact tv breaks float ties
+        return (float(tv), tv, firsts[i], firsts[j], i, j)
 
     live = list(range(len(clusters)))
     keys = {(i, j): pair_key(i, j) for i in live for j in live if i < j}
     while len(live) > K_max:
-        _, _, _, i, j = min(keys.values())
+        *_, i, j = min(keys.values())
         clusters[i].extend(clusters[j])
         for code, cnt in envs[j].items():
             envs[i][code] = envs[i].get(code, 0) + cnt

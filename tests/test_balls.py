@@ -541,22 +541,41 @@ def test_radius_errors_are_typed():
     assert issubclass(RadiusMismatchError, QhError)
 
 
+def test_unencodable_colours_and_label_widths_are_typed():
+    # these used to end in a struct.error and a bare ValueError
+    g = cycle(3)
+    for bad in (-1, 70000):
+        with pytest.raises(FormatError, match="0..65535"):
+            stat_vector(g, 1, edge_colors={(0, 1): 1, (0, 2): bad, (1, 2): 2})
+    with pytest.raises(FormatError, match="label width 300"):
+        stat_vector(g, 1, labels=[1, 2, 3], label_width=300)
+    assert stat_vector(g, 1, labels=[1, 2, 3], label_width=255).R == 1
+    assert stat_vector(g, 1, edge_colors={(0, 1): 0, (0, 2): 0xFFFF, (1, 2): 2}).R == 1
+
+
 class _CodeTable(dict):
-    """A raw-ball cache that counts the lookups of leaf encodings that find
-    their key."""
+    """A raw-ball cache that counts the lookups of leaf encodings
+    (``hits``) and of core keys (``core_hits``) that find their key."""
 
     def __init__(self):
         super().__init__()
         self.hits = 0
+        self.core_hits = 0
+
+    def _count(self, key):
+        self.hits += isinstance(key, bytes)
+        # a core key starts with the radius, a raw key with a tuple of radii
+        self.core_hits += isinstance(key, tuple) and isinstance(key[0], int)
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
-        self.hits += isinstance(key, bytes)
+        self._count(key)
         return value
 
     def get(self, key, default=None):
         value = super().get(key, default)
-        self.hits += isinstance(key, bytes) and value is not default
+        if value is not default:
+            self._count(key)
         return value
 
 
@@ -615,8 +634,9 @@ def test_leaf_encodings_in_the_cache_are_sound():
 
 def test_probe_ends_the_search_for_known_classes(monkeypatch):
     # the 12x12 torus at R=3 has two non-tree codes (radii 2 and 3) among
-    # 31 raw balls: the search runs to completion once per code, and every
-    # other ball is answered at its first leaf
+    # 31 raw balls: the search runs to completion once per code, 18 balls
+    # are answered by their core key before any search, and the other 11
+    # at their first leaf
     real = balls._search
     runs = Counter()
 
@@ -629,8 +649,62 @@ def test_probe_ends_the_search_for_known_classes(monkeypatch):
     monkeypatch.setattr(balls, "_search", counted)
     cache = _CodeTable()
     census(generate(FamilySpec("grid_torus", (12, 12))), (1, 2, 3), cache=cache)
-    assert runs == {"full": 2, "answered": 29}
-    assert cache.hits == 29
+    assert runs == {"full": 2, "answered": 11}
+    assert (cache.hits, cache.core_hits) == (11, 18)
+
+
+def test_core_keys_in_the_cache_are_sound():
+    # one table across hosts, relabelled copies, radii, labels and colours:
+    # every answer, from a core key or not, is the oracle's code.  A paw
+    # with a tail has equal balls at radii 2-4, and labels of width 0 and
+    # colours that are all 0 leave only the flags to tell balls apart
+    rr, _, _, ec = _form_hosts()[6]
+    paw = validate([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4)], 5, 3)
+    hosts = _form_hosts() + [
+        (paw, None, 0, None),
+        (rr, (0,) * rr.n, 0, None),
+        (rr, None, 0, dict.fromkeys(ec, 0)),
+        (rr, (0,) * rr.n, 0, dict.fromkeys(ec, 0)),
+    ]
+    known = _CodeTable()
+    rng = random.Random(7)
+    for g, labels, width, colors in hosts:
+        copies = [(g, labels, colors)] + [_relabelled(g, labels, colors, rng) for _ in range(2)]
+        for h, hl, hc in copies:
+            for x in range(0, h.n, 3):
+                for r in (1, 2, 3, 4):
+                    ball = extract_ball(h, x, r, hl, width, hc)
+                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
+    for cycle_first in (False, True):
+        ball = _cycle_and_triangles(cycle_first)
+        assert canonical_code(ball, known) == oracles.canonical_code(ball)
+    assert known.core_hits > 100
+
+
+# sha256 over the length-prefixed codes of random_regular(2000, 3), seed 0,
+# at radii 1-4, as computed before core keys
+RR2000_R4_CODES_SHA256 = "90b3b1460d9c0b15e3ec3bde0cf8e759cbbd9a919c96cc4fd228412622d1c5d6"
+
+
+def test_core_keys_cut_the_searches_of_a_census(monkeypatch):
+    # random_regular(2000, 3) at R=4: 683 searches without core keys, for
+    # 43 radius-4 codes; every code byte as before
+    real = balls._search
+    runs = []
+
+    def counted(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(balls, "_search", counted)
+    g = generate(FamilySpec("random_regular", (2000, 3), seed=0))
+    h = hashlib.sha256()
+    for codes in census(g, (1, 2, 3, 4)):
+        for code in codes:
+            h.update(len(code).to_bytes(4, "little"))
+            h.update(code)
+    assert len(runs) == 119
+    assert h.hexdigest() == RR2000_R4_CODES_SHA256
 
 
 def test_census_leaves_no_cyclic_garbage():

@@ -459,6 +459,21 @@ def test_mismatched_coloring_exits_cleanly(workdir, case):
     assert not (workdir / "s.json").exists()
 
 
+def test_unencodable_colour_exits_cleanly(workdir):
+    # a colour past the code's 16 bits used to end in a struct.error
+    (workdir / "t.el").write_text("3 2\n0 1\n0 2\n1 2\n")
+    main(["color-edges", "--input", str(workdir / "t.el"), "--out", str(workdir / "k.json")])
+    doc = json.loads((workdir / "k.json").read_text())
+    doc["edges"][0]["c"] = 70000
+    reports.validate_document(doc)  # the schema alone accepts it
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    proc = run_cli(["stats", "--input", "t.el", "--radius", "1", "--colors", "bad.json",
+                    "--out", "s.json"], cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "0..65535" in proc.stderr
+    assert not (workdir / "s.json").exists()
+
+
 def _cycle_and_path_files(workdir, assignment, K, verdict=None):
     """C20 + P20 as ``g.el`` and a partition of it, with no deleted edge,
     as ``p.json``."""
