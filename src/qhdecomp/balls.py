@@ -32,20 +32,19 @@ degree sums, so a tree ball whose form is known is never reindexed.  Any
 other ball is keyed by the raw numbered ball.  Either way the code bytes
 come from ``canonical_code`` run on the first ball of each key.
 
-The raw-ball cache also maps core keys and leaf encodings to codes, and
-``canonical_code`` probes them in that order after the raw key or tree form
-has missed.  A core key (a tuple that starts with the radius, where a raw
-key starts with a tuple of radii) holds a ball's core in ball order with
-each core vertex's pendant AHU form, so two numberings of a ball that
-differ only inside pendant trees share it, and it answers before any
-search.  On a miss the search serializes the ball in the order of its
-first leaf and returns the stored code when those bytes (a bytes key) are
-known, so a class of non-tree balls pays one full search however its copies
-are numbered.  Both are exact, not hashes.  Equal core keys map core to
-core with adjacency, labels and colours kept, and the forms fix every
-pendant tree.  The code layout decodes uniquely and a leaf order starts at
-the root, so equal encodings are isomorphic balls.  Radius, label width and
-flags are in both.
+The raw-ball cache also maps ball keys (``_ball_key``) to codes, and
+``canonical_code`` probes them after the raw key or tree form has missed:
+first the key of the ball in ball order, before any search, then the key
+of the search's first leaf, and only then does the search run in full.  A
+ball key (a tuple that starts with the radius, where a raw key starts with
+a tuple of radii) holds a ball's core in some root-first order with each
+core vertex's pendant AHU form.  It is exact, not a hash: equal keys map
+core to core with the root, adjacency, labels and colours kept, and the
+forms fix every pendant tree.  So two numberings of a ball that differ
+only inside pendant trees share their ball-order key, and a class of
+non-tree balls pays one full search however its copies are numbered.  The
+search orders its leaves by the same key, so the least leaf's key is
+stored with the code.
 
 ``canonical_code`` strips pendant trees into AHU forms that carry their
 sizes, refines the remaining core by splitters (each round recomputes only
@@ -62,7 +61,7 @@ from collections import Counter
 from dataclasses import dataclass
 from struct import pack
 
-from .errors import FormatError, RadiusMismatchError
+from .errors import FormatError, RadiusMismatchError, VertexSetMismatchError
 from .graph import Graph, from_adjacency
 
 _TAG = 0x51
@@ -95,6 +94,8 @@ def extract_ball(
     """
     if r < 0:
         raise RadiusMismatchError(f"ball radius {r} is negative")
+    if not 0 <= x < g.n:
+        raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
     index, ends, _ = _bfs(g, x, r)
     rows, _, ball_labels, ups = _reindex(g, index, ends, labels, label_width, edge_colors)
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
@@ -156,7 +157,7 @@ def codes_at_radii(
     one probe usually answers a call.  On a miss the radii are walked down
     to the largest hit, and only the balls above it are canonicalized and
     stored; ``canonical_code`` also reads and fills ``cache`` as its table
-    of core keys and leaf encodings.
+    of ball keys.
 
     ``forms``, built for ``g`` with the same labels and colours, keys tree
     balls by their root form instead: the balls up to the largest tree
@@ -171,6 +172,8 @@ def codes_at_radii(
     # by every smaller radius
     if rs[-1] > 0xFF:
         raise FormatError("radius too large to encode")
+    if not 0 <= x < g.n:
+        raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
     index, ends, tree = _bfs(g, x, rs[-1])
     trees = 0 if forms is None else bisect_right(rs, tree)
     full = None
@@ -221,7 +224,19 @@ def census(
     censuses of different graphs, labellings and colourings: a vertex whose
     ball is numbered alike in two graphs, as in a spanned subgraph and its
     host when no edge leaves the subset, is canonicalized once.
+
+    Labels, when given, number one per vertex, and colours, when given,
+    cover every edge; anything else is refused before the first ball.
     """
+    if labels is not None or edge_colors is not None:
+        if labels is not None and len(labels) != g.n:
+            raise VertexSetMismatchError(f"{len(labels)} labels for {g.n} vertices")
+        if not 0 <= label_width <= 0xFF:
+            raise FormatError(f"label width {label_width} outside 0..255")
+        if edge_colors is not None:
+            for edge in g.edges():
+                if edge not in edge_colors:
+                    raise FormatError(f"edge {edge} has no colour")
     if cache is None:
         cache = {}
     forms = BranchForms(g, labels, label_width, edge_colors)
@@ -322,14 +337,13 @@ def _ball(g, rows, r, labels, label_width, colors) -> RootedBall:
 def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
     """Code bytes of ``ball``.
 
-    ``known``, when given, maps core keys (``_core_key``) and encodings of
-    balls in some order that starts at the root to their codes.  A tree
+    ``known``, when given, maps ball keys (``_ball_key``) to codes.  A tree
     ball is serialized from its forms at once.  A ball with pendant trees
-    is looked up by its core key, which is exact because equal keys are
-    isomorphic balls; then the search (``_search``) probes the encoding of
-    its first leaf and, on a miss there too, runs in full.  The core key is
-    stored with the code the search returns.  A ball with nothing stripped
-    skips the core key, which would only restate the numbered ball.
+    is looked up by its ball key in ball order before any search; then the
+    search (``_search``) probes the key of its first leaf and, on a miss
+    there too, runs in full.  The ball-order key is stored with the code
+    the search returns.  A ball with nothing stripped skips the ball-order
+    probe, whose key would only restate the numbered ball.
     """
     if ball.graph.n > 0xFFFF:
         raise FormatError("ball too large to encode")
@@ -345,40 +359,40 @@ def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
         return _serialize(ball, core, form)
     if known is None or len(core) == ball.graph.n:
         return _search(ball, core, dist, form, known)
-    key = _core_key(ball, core, form)
+    key = _ball_key(ball, core, form)
     code = known.get(key)
     if code is None:
         code = known[key] = _search(ball, core, dist, form, known)
     return code
 
 
-def _core_key(ball: RootedBall, core, form) -> tuple:
-    """The radius, label width and flags of ``ball``, then per core vertex,
-    in ball order, its form and its later core neighbours by core position,
-    each paired with the edge's colour when the ball has colours.
+def _ball_key(ball: RootedBall, heads, form) -> tuple:
+    """The radius, label width and flags of ``ball``, then per head, in the
+    order of ``heads`` (core vertices, root first), its form and its sorted
+    later heads by position, each paired with the edge's colour when the
+    ball has colours.
 
-    Equal keys give isomorphic balls: the root is core vertex 0 in both,
-    matching core positions preserve adjacency, labels and colours, and
-    each form fixes the pendant trees hung on its vertex.  So a key may
-    stand for the code.  Its first item is an int, where a raw key's is a
-    tuple of radii and an encoding is bytes, so it meets neither.
+    Equal keys give isomorphic balls: the root is head 0 in both, matching
+    positions preserve adjacency, labels and colours, and each form fixes
+    the pendant trees hung on its head.  So a key may stand for the code,
+    whichever root-first order of the core it was built in.  Its first item
+    is an int, where a raw key's is a tuple of radii, so the two never meet.
     """
     nbrs = ball.graph.adjacency
     labels, colors = ball.labels, ball.edge_colors
-    pos = {v: i for i, v in enumerate(core)}
+    pos = {v: p for p, v in enumerate(heads)}
     key = [
         ball.radius,
         ball.label_width if labels is not None else 0,
         (labels is not None) | (colors is not None) << 1,
     ]
-    for i, v in enumerate(core):
-        # core positions follow ball ids, so later positions are larger ids
-        ups = [w for w in nbrs[v] if pos.get(w, -1) > i]
+    for p, v in enumerate(heads):
+        ups = [w for w in nbrs[v] if pos.get(w, -1) > p]
         key.append(form[v])
-        key.append(
-            tuple(map(pos.__getitem__, ups)) if colors is None
-            else tuple((pos[w], colors[v, w]) for w in ups)
-        )
+        key.append(tuple(sorted(
+            [pos[w] for w in ups] if colors is None
+            else [(pos[w], colors[(v, w) if v < w else (w, v)]) for w in ups]
+        )))
     return tuple(key)
 
 
@@ -450,69 +464,39 @@ def _strip_pendants(ball: RootedBall):
 
 
 def _search(ball: RootedBall, core, dist, form, known) -> bytes:
-    """Code of ``ball`` with its core in canonical order: the least
-    candidate over the leaves of the individualization-refinement search
-    tree.
+    """Code of ``ball`` with its core in canonical order: the least ball
+    key (``_ball_key``) over the leaves of the individualization-refinement
+    search tree.
 
-    With ``known``, the ball is also serialized in the order of the first
-    leaf the search reaches.  Those bytes decode to a copy of the ball,
-    root first, so every ball with the same encoding is isomorphic to this
-    one and shares its code: a hit in ``known`` ends the search.  After a
-    full search ``known`` maps both the first leaf's encoding and the code
-    to the code.  A first refinement that is already discrete has one
-    leaf, so it is not probed.
+    Each position of every leaf holds a vertex of the same initial
+    (distance, form) cell, so forms never decide between leaves; keys
+    compare by adjacency and colours alone.  With ``known``, the key of the
+    first leaf the search reaches is probed, and a hit ends the search.
+    After a full search ``known`` maps the first and the least leaf's keys
+    to the code.  A first refinement that is already discrete has one leaf,
+    so it is not probed.
     """
     nbrs = ball.graph.adjacency
     colors = ball.edge_colors
-
-    if colors is None:
-        def ecol(u, v):
-            return 0
-    else:
-        def ecol(u, v):
-            return colors[(u, v) if u < v else (v, u)]
-
     core_pos = {v: i for i, v in enumerate(core)}
     k = len(core)
-    core_nbrs: list[list[int]] = [[] for _ in range(k)]
-    for v in core:
-        for w in nbrs[v]:
-            if w in core_pos:
-                core_nbrs[core_pos[v]].append(core_pos[w])
+    core_nbrs = [[core_pos[w] for w in nbrs[v] if w in core_pos] for v in core]
     core_ecol = None if colors is None else [
-        [ecol(core[i], core[j]) for j in core_nbrs[i]] for i in range(k)
+        [colors[(v, w) if v < w else (w, v)] for w in nbrs[v] if w in core_pos] for v in core
     ]
 
     # a core vertex's form is its label plus its sorted pendant forms
     init = [(dist[v], form[v]) for v in core]
     ranks = {key: i for i, key in enumerate(sorted(set(init)))}
-    coloring = [ranks[init[i]] for i in range(k)]
-    init_rank = tuple(coloring)
+    coloring = [ranks[key] for key in init]
 
-    def candidate_bytes(order):
-        # core adjacency + edge colors + initial ranks under the order;
-        # ties are exactly label/color-respecting core automorphisms
-        pos = [0] * k
-        for p, i in enumerate(order):
-            pos[i] = p
-        rows = []
-        for p in range(k):
-            i = order[p]
-            ups = sorted(
-                (pos[j], ecol(core[i], core[j]))
-                for j in core_nbrs[i]
-                if pos[j] > p
-            )
-            rows.append((init_rank[i], tuple(ups)))
-        return tuple(rows)
-
+    # the least key and its order; the first leaf's key, when probed
     best: list = [None, None]
+    first: list = [None]
     autos: list[tuple[int, ...]] = []
-    # the first leaf's order and its encoding, when ``known`` is probed
-    first: list = [None, None]
 
     def search(cols, prefix) -> bool:
-        """Search below ``cols``; True once the first leaf's encoding is known."""
+        """Search below ``cols``; True once the first leaf's key is known."""
         counts = Counter(cols)
         target = None
         for c in sorted(counts):
@@ -521,15 +505,14 @@ def _search(ball: RootedBall, core, dist, form, known) -> bytes:
                 break
         if target is None:
             order = sorted(range(k), key=cols.__getitem__)
-            if best[0] is None and known is not None:
-                first[:] = order, _serialize(ball, [core[i] for i in order], form)
-                if first[1] in known:
+            key = _ball_key(ball, [core[i] for i in order], form)
+            if best[0] is None:
+                first[0] = key
+                if known is not None and key in known:
                     return True
-            data = candidate_bytes(order)
-            if best[0] is None or data < best[0]:
-                best[0] = data
-                best[1] = order
-            elif data == best[0] and len(autos) < _MAX_AUTOMORPHISMS:
+            if best[0] is None or key < best[0]:
+                best[:] = key, order
+            elif key == best[0] and len(autos) < _MAX_AUTOMORPHISMS:
                 ref = best[1]
                 sigma = [0] * k
                 for i in range(k):
@@ -564,10 +547,10 @@ def _search(ball: RootedBall, core, dist, form, known) -> bytes:
     # ball and the cache it holds, now instead of at the next collection
     search = None
     if found:
-        return known[first[1]]
-    code = first[1] if best[1] is first[0] else _serialize(ball, [core[i] for i in best[1]], form)
+        return known[first[0]]
+    code = _serialize(ball, [core[i] for i in best[1]], form)
     if known is not None:
-        known[first[1]] = known[code] = code
+        known[first[0]] = known[best[0]] = code
     return code
 
 

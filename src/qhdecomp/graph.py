@@ -7,6 +7,7 @@ new object.  All ratios are exact ``fractions.Fraction`` values.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,14 +49,8 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self.adjacency[u]
-        lo, hi = 0, len(nbrs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if nbrs[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(nbrs) and nbrs[lo] == v
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
 
 def validate(edges: Iterable[tuple[int, int]], n: int, d: int) -> Graph:

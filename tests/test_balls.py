@@ -17,7 +17,7 @@ from qhdecomp.balls import (
     extract_ball,
 )
 from qhdecomp.coloring import color_edges, random_b_labels
-from qhdecomp.errors import FormatError, QhError, RadiusMismatchError
+from qhdecomp.errors import FormatError, QhError, RadiusMismatchError, VertexSetMismatchError
 from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_adjacency, relabel, spanned_subgraph, validate
 from qhdecomp.stats import StatVector, forget_colors, stat_vector
@@ -553,19 +553,40 @@ def test_unencodable_colours_and_label_widths_are_typed():
     assert stat_vector(g, 1, edge_colors={(0, 1): 0, (0, 2): 0xFFFF, (1, 2): 2}).R == 1
 
 
+@pytest.mark.parametrize("kwargs, error, match", [
+    ({"labels": [1, 2, 3, 4], "label_width": -1}, FormatError, "label width -1 outside 0..255"),
+    ({"labels": [1, 2]}, VertexSetMismatchError, "2 labels for 4 vertices"),
+    ({"labels": [1, 2, 3, 4, 5]}, VertexSetMismatchError, "5 labels for 4 vertices"),
+    ({"edge_colors": {}}, FormatError, r"edge \(0, 1\) has no colour"),
+], ids=["negative_width", "short_labels", "long_labels", "uncoloured_edge"])
+def test_malformed_decorations_are_typed(kwargs, error, match):
+    # these used to end in a bare ValueError, IndexError or KeyError, or,
+    # with a label too many, were accepted silently
+    with pytest.raises(error, match=match):
+        stat_vector(cycle(4), 1, **kwargs)
+
+
+def test_out_of_range_root_is_refused():
+    # a root of -1 used to alias the last vertex and build a corrupt ball
+    g = path(4)
+    for x in (-1, 4):
+        with pytest.raises(VertexSetMismatchError, match=f"root {x} is not a vertex"):
+            extract_ball(g, x, 1)
+        with pytest.raises(VertexSetMismatchError, match=f"root {x} is not a vertex"):
+            codes_at_radii(g, x, (1,))
+
+
 class _CodeTable(dict):
-    """A raw-ball cache that counts the lookups of leaf encodings
-    (``hits``) and of core keys (``core_hits``) that find their key."""
+    """A raw-ball cache that counts the lookups of ball keys that find
+    their key (``hits``)."""
 
     def __init__(self):
         super().__init__()
         self.hits = 0
-        self.core_hits = 0
 
     def _count(self, key):
-        self.hits += isinstance(key, bytes)
-        # a core key starts with the radius, a raw key with a tuple of radii
-        self.core_hits += isinstance(key, tuple) and isinstance(key[0], int)
+        # a ball key starts with the radius, a raw key with a tuple of radii
+        self.hits += isinstance(key[0], int)
 
     def __getitem__(self, key):
         value = super().__getitem__(key)
@@ -605,38 +626,11 @@ def _cycle_and_triangles(cycle_first: bool) -> RootedBall:
     return RootedBall(validate(edges, 13, 12), 1)
 
 
-def test_leaf_encodings_in_the_cache_are_sound():
-    # every encoding the search stores decodes to a ball whose code, found
-    # afresh, is the stored one
-    shared: dict = {}
-    for g, labels, width, colors in _form_hosts():
-        census(g, (1, 2, 3), labels, width, colors, shared)
-    for cycle_first in (False, True):
-        canonical_code(_cycle_and_triangles(cycle_first), shared)
-    encodings = {key: code for key, code in shared.items() if isinstance(key, bytes)}
-    assert len(encodings) > 50
-    assert any(key != code for key, code in encodings.items())
-    for key, code in encodings.items():
-        assert canonical_code(decode_code(key)) == code
-    # balls of relabelled hosts are numbered differently, so the probe
-    # answers many of them from the first leaf
-    known = _CodeTable()
-    rng = random.Random(5)
-    for g, labels, width, colors in _form_hosts():
-        for _ in range(2):
-            h, hl, hc = _relabelled(g, labels, colors, rng)
-            for x in range(0, h.n, 2):
-                for r in (2, 3):
-                    ball = extract_ball(h, x, r, hl, width, hc)
-                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
-    assert known.hits > 50
-
-
 def test_probe_ends_the_search_for_known_classes(monkeypatch):
     # the 12x12 torus at R=3 has two non-tree codes (radii 2 and 3) among
-    # 31 raw balls: the search runs to completion once per code, 18 balls
-    # are answered by their core key before any search, and the other 11
-    # at their first leaf
+    # 31 raw balls: the search runs to completion once per code, 19 balls
+    # are answered by their ball key in ball order before any search, and
+    # the other 10 by the ball key of their first leaf
     real = balls._search
     runs = Counter()
 
@@ -649,13 +643,13 @@ def test_probe_ends_the_search_for_known_classes(monkeypatch):
     monkeypatch.setattr(balls, "_search", counted)
     cache = _CodeTable()
     census(generate(FamilySpec("grid_torus", (12, 12))), (1, 2, 3), cache=cache)
-    assert runs == {"full": 2, "answered": 11}
-    assert (cache.hits, cache.core_hits) == (11, 18)
+    assert runs == {"full": 2, "answered": 10}
+    assert cache.hits == 29
 
 
 def test_core_keys_in_the_cache_are_sound():
     # one table across hosts, relabelled copies, radii, labels and colours:
-    # every answer, from a core key or not, is the oracle's code.  A paw
+    # every answer, from a ball key or not, is the oracle's code.  A paw
     # with a tail has equal balls at radii 2-4, and labels of width 0 and
     # colours that are all 0 leave only the flags to tell balls apart
     rr, _, _, ec = _form_hosts()[6]
@@ -678,7 +672,25 @@ def test_core_keys_in_the_cache_are_sound():
     for cycle_first in (False, True):
         ball = _cycle_and_triangles(cycle_first)
         assert canonical_code(ball, known) == oracles.canonical_code(ball)
-    assert known.core_hits > 100
+    assert known.hits > 100
+    # balls of relabelled hosts are numbered differently, so a fresh table
+    # answers many of them from a ball key
+    known = _CodeTable()
+    rng = random.Random(5)
+    for g, labels, width, colors in _form_hosts():
+        for _ in range(2):
+            h, hl, hc = _relabelled(g, labels, colors, rng)
+            for x in range(0, h.n, 2):
+                for r in (2, 3):
+                    ball = extract_ball(h, x, r, hl, width, hc)
+                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
+    assert known.hits > 50
+    # a census leaves only tuple keys: raw keys, which start with a tuple
+    # of radii, and ball keys, which start with the radius
+    shared: dict = {}
+    for g, labels, width, colors in _form_hosts():
+        census(g, (1, 2, 3), labels, width, colors, shared)
+    assert {(type(key), type(key[0])) for key in shared} == {(tuple, tuple), (tuple, int)}
 
 
 # sha256 over the length-prefixed codes of random_regular(2000, 3), seed 0,
@@ -687,7 +699,7 @@ RR2000_R4_CODES_SHA256 = "90b3b1460d9c0b15e3ec3bde0cf8e759cbbd9a919c96cc4fd22841
 
 
 def test_core_keys_cut_the_searches_of_a_census(monkeypatch):
-    # random_regular(2000, 3) at R=4: 683 searches without core keys, for
+    # random_regular(2000, 3) at R=4: 683 searches without ball keys, for
     # 43 radius-4 codes; every code byte as before
     real = balls._search
     runs = []
@@ -703,7 +715,7 @@ def test_core_keys_cut_the_searches_of_a_census(monkeypatch):
         for code in codes:
             h.update(len(code).to_bytes(4, "little"))
             h.update(code)
-    assert len(runs) == 119
+    assert len(runs) == 109
     assert h.hexdigest() == RR2000_R4_CODES_SHA256
 
 
