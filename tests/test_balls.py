@@ -626,6 +626,36 @@ def _cycle_and_triangles(cycle_first: bool) -> RootedBall:
     return RootedBall(validate(edges, 13, 12), 1)
 
 
+def test_leaf_encodings_in_the_cache_are_sound():
+    # every ball key the search stores, for a leaf or for a ball in ball
+    # order, maps to a code whose decoded ball has the key's radius and
+    # flags and, coded afresh, gives the stored code back
+    shared: dict = {}
+    for g, labels, width, colors in _form_hosts():
+        census(g, (1, 2, 3), labels, width, colors, shared)
+    for cycle_first in (False, True):
+        canonical_code(_cycle_and_triangles(cycle_first), shared)
+    encodings = {key: code for key, code in shared.items() if isinstance(key[0], int)}
+    assert len(encodings) > 50
+    for key, code in encodings.items():
+        ball = decode_code(code)
+        flags = (ball.labels is not None) | (ball.edge_colors is not None) << 1
+        assert (key[0], key[2]) == (ball.radius, flags)
+        assert canonical_code(ball) == code
+    # balls of relabelled hosts are numbered differently, so a fresh table
+    # answers many of them from a ball key
+    known = _CodeTable()
+    rng = random.Random(5)
+    for g, labels, width, colors in _form_hosts():
+        for _ in range(2):
+            h, hl, hc = _relabelled(g, labels, colors, rng)
+            for x in range(0, h.n, 2):
+                for r in (2, 3):
+                    ball = extract_ball(h, x, r, hl, width, hc)
+                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
+    assert known.hits > 50
+
+
 def test_probe_ends_the_search_for_known_classes(monkeypatch):
     # the 12x12 torus at R=3 has two non-tree codes (radii 2 and 3) among
     # 31 raw balls: the search runs to completion once per code, 19 balls
@@ -673,18 +703,6 @@ def test_core_keys_in_the_cache_are_sound():
         ball = _cycle_and_triangles(cycle_first)
         assert canonical_code(ball, known) == oracles.canonical_code(ball)
     assert known.hits > 100
-    # balls of relabelled hosts are numbered differently, so a fresh table
-    # answers many of them from a ball key
-    known = _CodeTable()
-    rng = random.Random(5)
-    for g, labels, width, colors in _form_hosts():
-        for _ in range(2):
-            h, hl, hc = _relabelled(g, labels, colors, rng)
-            for x in range(0, h.n, 2):
-                for r in (2, 3):
-                    ball = extract_ball(h, x, r, hl, width, hc)
-                    assert canonical_code(ball, known) == oracles.canonical_code(ball)
-    assert known.hits > 50
     # a census leaves only tuple keys: raw keys, which start with a tuple
     # of radii, and ball keys, which start with the radius
     shared: dict = {}
