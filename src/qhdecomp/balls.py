@@ -49,9 +49,11 @@ stored with the code.
 ``canonical_code`` strips pendant trees into AHU forms that carry their
 sizes, refines the remaining core by splitters (each round recomputes only
 the cells next to a cell that split in the round before, which gives the
-partitions a full round gives), searches it, and writes the code in one
-pass: the core in canonical order, then the pendant trees in preorder of
-their forms.
+partitions a full round gives) and searches it.  The code is the least
+leaf's ball key written out in one pass (``_serialize``): the core in the
+key's order, then the pendant trees in preorder of their forms.  A tree
+ball is its one-head key, the root's form alone.  The writer reads only the
+key, so the key alone decides the layout above.
 """
 
 from __future__ import annotations
@@ -88,14 +90,16 @@ def extract_ball(
 ) -> RootedBall:
     """Induced subgraph on {y : d_G(x,y) <= r}, rooted at x.
 
-    Host labels are a per-vertex int sequence (width ``label_width`` bits);
-    host edge colors map (u, v) with u < v to small ints.  Both are
-    restricted to the ball.
+    Host labels are a per-vertex int sequence (width ``label_width`` bits,
+    0..255), one per vertex; host edge colors map every edge (u, v) with
+    u < v to a small int.  Both are restricted to the ball.  Anything else
+    is refused before the BFS.
     """
     if r < 0:
         raise RadiusMismatchError(f"ball radius {r} is negative")
     if not 0 <= x < g.n:
         raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
+    _check_decorations(g, labels, label_width, edge_colors)
     index, ends, _ = _bfs(g, x, r)
     rows, _, ball_labels, ups = _reindex(g, index, ends, labels, label_width, edge_colors)
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
@@ -164,6 +168,9 @@ def codes_at_radii(
     radius the BFS finds take their codes from ``forms.codes`` and skip the
     raw cache, and when they are all the balls asked for and every form is
     known, the ball is never reindexed.
+
+    The label width and the label count are checked here; colour coverage
+    is checked by ``census``, which calls this once per vertex.
     """
     rs = tuple(sorted(set(radii)))
     if not rs or rs[0] < 0:
@@ -174,6 +181,7 @@ def codes_at_radii(
         raise FormatError("radius too large to encode")
     if not 0 <= x < g.n:
         raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
+    _check_decorations(g, labels, label_width, None)
     index, ends, tree = _bfs(g, x, rs[-1])
     trees = 0 if forms is None else bisect_right(rs, tree)
     full = None
@@ -225,18 +233,11 @@ def census(
     ball is numbered alike in two graphs, as in a spanned subgraph and its
     host when no edge leaves the subset, is canonicalized once.
 
-    Labels, when given, number one per vertex, and colours, when given,
-    cover every edge; anything else is refused before the first ball.
+    The label width lies in 0..255, labels, when given, number one per
+    vertex, and colours, when given, cover every edge; anything else is
+    refused before the first ball.
     """
-    if labels is not None or edge_colors is not None:
-        if labels is not None and len(labels) != g.n:
-            raise VertexSetMismatchError(f"{len(labels)} labels for {g.n} vertices")
-        if not 0 <= label_width <= 0xFF:
-            raise FormatError(f"label width {label_width} outside 0..255")
-        if edge_colors is not None:
-            for edge in g.edges():
-                if edge not in edge_colors:
-                    raise FormatError(f"edge {edge} has no colour")
+    _check_decorations(g, labels, label_width, edge_colors)
     if cache is None:
         cache = {}
     forms = BranchForms(g, labels, label_width, edge_colors)
@@ -244,6 +245,19 @@ def census(
         tuple(codes_at_radii(g, x, radii, labels, label_width, edge_colors, cache, forms).values())
         for x in range(g.n)
     ]
+
+
+def _check_decorations(g: Graph, labels, label_width: int, edge_colors) -> None:
+    """Refuse a label width outside 0..255, labels that do not number one
+    per vertex and colours that miss an edge of ``g``."""
+    if not 0 <= label_width <= 0xFF:
+        raise FormatError(f"label width {label_width} outside 0..255")
+    if labels is not None and len(labels) != g.n:
+        raise VertexSetMismatchError(f"{len(labels)} labels for {g.n} vertices")
+    if edge_colors is not None:
+        for edge in g.edges():
+            if edge not in edge_colors:
+                raise FormatError(f"edge {edge} has no colour")
 
 
 def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int], int]:
@@ -338,10 +352,10 @@ def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
     """Code bytes of ``ball``.
 
     ``known``, when given, maps ball keys (``_ball_key``) to codes.  A tree
-    ball is serialized from its forms at once.  A ball with pendant trees
-    is looked up by its ball key in ball order before any search; then the
-    search (``_search``) probes the key of its first leaf and, on a miss
-    there too, runs in full.  The ball-order key is stored with the code
+    ball is written out at once from its one-head key, the root's form.  A
+    ball with pendant trees is looked up by its ball key in ball order
+    before any search; then the search (``_search``) probes the key of its
+    first leaf and, on a miss there too, runs in full.  The ball-order key is stored with the code
     the search returns.  A ball with nothing stripped skips the ball-order
     probe, whose key would only restate the numbered ball.
     """
@@ -356,7 +370,7 @@ def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
         raise FormatError("edge colours must lie in 0..65535 to encode")
     core, dist, form = _strip_pendants(ball)
     if len(core) == 1:
-        return _serialize(ball, core, form)
+        return _serialize(_ball_key(ball, core, form))
     if known is None or len(core) == ball.graph.n:
         return _search(ball, core, dist, form, known)
     key = _ball_key(ball, core, form)
@@ -401,9 +415,9 @@ def _ball_key(ball: RootedBall, heads, form) -> tuple:
 # Pendant trees are stripped and folded into attachment-vertex labels via
 # their AHU forms, so backtracking only ever runs on the 2-core (plus the
 # root and its path to the core).  A tree ball strips down to the root and
-# needs no search at all.  The canonical order is the core in the order the
-# search picks, then each core vertex's pendant trees in preorder of its
-# form, so the pendant vertices are serialized straight from the forms.
+# needs no search at all.  The canonical order is the core in the order of
+# the least leaf's ball key, then each core vertex's pendant trees in
+# preorder of its form, so the code is written from that key alone.
 #
 # The core is coloured by distance and pendant forms, then refined to an
 # equitable partition.  Each refinement round ranks vertices by their old
@@ -464,9 +478,9 @@ def _strip_pendants(ball: RootedBall):
 
 
 def _search(ball: RootedBall, core, dist, form, known) -> bytes:
-    """Code of ``ball`` with its core in canonical order: the least ball
-    key (``_ball_key``) over the leaves of the individualization-refinement
-    search tree.
+    """Code of ``ball``: the least ball key (``_ball_key``) over the
+    leaves of the individualization-refinement search tree, written out by
+    ``_serialize``.
 
     Each position of every leaf holds a vertex of the same initial
     (distance, form) cell, so forms never decide between leaves; keys
@@ -548,7 +562,7 @@ def _search(ball: RootedBall, core, dist, form, known) -> bytes:
     search = None
     if found:
         return known[first[0]]
-    code = _serialize(ball, [core[i] for i in best[1]], form)
+    code = _serialize(best[0])
     if known is not None:
         known[first[0]] = known[best[0]] = code
     return code
@@ -609,29 +623,29 @@ def _refine(cols, nbrs, ecols=None, split=None) -> list[int]:
 
 # --- serialization -----------------------------------------------------------
 
-def _serialize(ball: RootedBall, heads: list[int], form: list[tuple]) -> bytes:
-    """Code bytes of ``ball`` in canonical order: ``heads``, the core in
-    canonical order, then each head's pendant trees in preorder of their
-    forms.  A head's upper neighbours are its later core neighbours, then
-    its pendant children; a pendant vertex's are its children.  Each child
-    comes right after the subtree of the child before."""
-    n = ball.graph.n
-    nbrs = ball.graph.adjacency
-    labels, colors = ball.labels, ball.edge_colors
-    flags = (labels is not None) | (colors is not None) << 1
-    width = ball.label_width if labels is not None else 0
-    out = bytearray((_TAG, ball.radius, n & 0xFF, n >> 8, flags, width))
+def _serialize(key: tuple) -> bytes:
+    """Code bytes of a ball key (``_ball_key``) written out: the heads in
+    key order, then each head's pendant trees in preorder of their forms.
+    A head's upper neighbours are its later heads, as the key lists them,
+    then its pendant children; a pendant vertex's are its children.  Each
+    child comes right after the subtree of the child before.  Every
+    non-head vertex lies in a head's pendant tree, so the heads' form sizes
+    sum to the vertex count."""
+    radius, width, flags = key[:3]
+    forms = key[3::2]
+    n = sum([f[2] for f in forms])
+    out = bytearray((_TAG, radius, n & 0xFF, n >> 8, flags, width))
     label_stream: list[int] = []
     color_stream: list[int] = []
-    pos = {v: p for p, v in enumerate(heads)}
-    q = len(heads)
+    q = len(forms)
     pendants: list[tuple] = []
-    for p, v in enumerate(heads):
-        label, kids, _ = form[v]
+    for (label, kids, _), later in zip(forms, key[4::2]):
         label_stream.append(label)
-        ups = sorted([pos[w] for w in nbrs[v] if pos.get(w, -1) > p])
-        if colors is not None:
-            color_stream += [colors[(v, heads[u]) if v < heads[u] else (heads[u], v)] for u in ups]
+        if flags & 2:
+            ups = [u for u, _ in later]
+            color_stream += [c for _, c in later]
+        else:
+            ups = list(later)
         for ec, f in kids:
             ups.append(q)
             q += f[2]
@@ -640,7 +654,7 @@ def _serialize(ball: RootedBall, heads: list[int], form: list[tuple]) -> bytes:
         out.append(len(ups))
         out += pack(f"<{len(ups)}H", *ups)
     pendants.reverse()
-    p = len(heads)
+    p = len(forms)
     while pendants:
         label, kids, _ = pendants.pop()
         p += 1
@@ -655,12 +669,12 @@ def _serialize(ball: RootedBall, heads: list[int], form: list[tuple]) -> bytes:
                 color_stream.append(ec)
             out += pack(f"<{len(ups)}H", *ups)
             pendants += reversed([f for _, f in kids])
-    if labels is not None:
+    if flags & 1:
         nbytes = (width + 7) // 8
         shift = nbytes * 8 - width
         for label in label_stream:
             out += (label << shift).to_bytes(nbytes, "big")
-    if colors is not None:
+    if flags & 2:
         out += pack(f"<{len(color_stream)}H", *color_stream)
     return bytes(out)
 

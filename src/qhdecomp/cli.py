@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="produce a family graph as an edge list")
     # union kinds take parts, which only --spec supplies
-    g.add_argument("--kind", choices=sorted(k for k, arity in families._ARITY.items() if arity))
+    g.add_argument("--kind", choices=sorted(k for k, (_, arity) in families._KINDS.items() if arity))
     g.add_argument("--params", default="", help="comma-separated integers")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--spec", help="FamilySpec JSON file (overrides --kind)")

@@ -108,12 +108,10 @@ def decompose(
     for i, members in enumerate(clusters, start=1):
         for v in members:
             assignment[v] = i
-    K = len(clusters)
-
     _smooth(g, assignment)
     deleted = sorted(required_deletions(g, assignment))
-    partition = Partition(n, tuple(assignment), K, tuple(deleted))
-    return absorb_small_parts(g, partition, delta, K, threshold_mode)
+    partition = Partition(n, tuple(assignment), len(clusters), tuple(deleted))
+    return absorb_small_parts(g, partition, delta, threshold_mode)
 
 
 def _agglomerate(g, codes, classes, K_max):
@@ -212,12 +210,12 @@ def absorb_small_parts(
     g: Graph,
     p: Partition,
     delta: Fraction,
-    K: int,
     threshold_mode: str = THRESHOLD_THEOREM,
 ) -> Partition:
-    """Delete the internal edges of every below-threshold part and move its
-    vertices into the leftover part.  Idempotent."""
-    threshold = part_size_threshold(delta, g.degree_bound, K, threshold_mode)
+    """Delete the internal edges of every below-threshold part of ``p`` (the
+    threshold taken at ``p.K`` parts) and move its vertices into the
+    leftover part.  Idempotent."""
+    threshold = part_size_threshold(delta, g.degree_bound, p.K, threshold_mode)
     sizes = p.part_sizes()
     doomed = {
         i

@@ -31,9 +31,9 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        arity = _ARITY.get(self.kind)
-        if arity is None:
+        if self.kind not in _KINDS:
             raise InfeasibleSpecError(f"unknown family kind {self.kind!r}")
+        arity = _KINDS[self.kind][1]
         if len(self.params) != arity:
             raise InfeasibleSpecError(
                 f"{self.kind} takes {arity} params, got {len(self.params)}"
@@ -90,7 +90,7 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def generate_detailed(spec: FamilySpec) -> GeneratedGraph:
-    out = _MAKERS[spec.kind](spec)
+    out = _KINDS[spec.kind][0](spec)
     g = out.graph
     for v in range(g.n):
         assert g.degree(v) <= g.degree_bound
@@ -228,25 +228,16 @@ def _bridged_union(spec: FamilySpec) -> GeneratedGraph:
     return GeneratedGraph(g, base.blocks, tuple(sorted(bridge_edges)))
 
 
-_MAKERS = {
-    "cycle": _cycle,
-    "path": _path,
-    "grid_torus": _grid_torus,
-    "random_regular": _random_regular,
-    "d_ary_tree": _d_ary_tree,
-    "disjoint_union": _disjoint_union,
-    "bridged_union": _bridged_union,
-}
-
-# number of params each kind takes; union kinds take parts instead
-_ARITY = {
-    "cycle": 1,
-    "path": 1,
-    "grid_torus": 2,
-    "random_regular": 2,
-    "d_ary_tree": 2,
-    "disjoint_union": 0,
-    "bridged_union": 0,
+# each kind's maker and the number of params it takes; union kinds take
+# parts instead
+_KINDS = {
+    "cycle": (_cycle, 1),
+    "path": (_path, 1),
+    "grid_torus": (_grid_torus, 2),
+    "random_regular": (_random_regular, 2),
+    "d_ary_tree": (_d_ary_tree, 2),
+    "disjoint_union": (_disjoint_union, 0),
+    "bridged_union": (_bridged_union, 0),
 }
 
 

@@ -553,17 +553,34 @@ def test_unencodable_colours_and_label_widths_are_typed():
     assert stat_vector(g, 1, edge_colors={(0, 1): 0, (0, 2): 0xFFFF, (1, 2): 2}).R == 1
 
 
-@pytest.mark.parametrize("kwargs, error, match", [
-    ({"labels": [1, 2, 3, 4], "label_width": -1}, FormatError, "label width -1 outside 0..255"),
-    ({"labels": [1, 2]}, VertexSetMismatchError, "2 labels for 4 vertices"),
-    ({"labels": [1, 2, 3, 4, 5]}, VertexSetMismatchError, "5 labels for 4 vertices"),
-    ({"edge_colors": {}}, FormatError, r"edge \(0, 1\) has no colour"),
-], ids=["negative_width", "short_labels", "long_labels", "uncoloured_edge"])
-def test_malformed_decorations_are_typed(kwargs, error, match):
+_ENTRIES = {
+    "stat_vector": lambda g, **kwargs: stat_vector(g, 1, **kwargs),
+    "extract_ball": lambda g, **kwargs: extract_ball(g, 0, 1, **kwargs),
+    "codes_at_radii": lambda g, **kwargs: codes_at_radii(g, 0, (1,), **kwargs),
+}
+
+
+@pytest.mark.parametrize("entry, kwargs, error, match", [
+    ("stat_vector", {"labels": [1, 2, 3, 4], "label_width": -1}, FormatError,
+     "label width -1 outside 0..255"),
+    ("stat_vector", {"labels": [1, 2]}, VertexSetMismatchError, "2 labels for 4 vertices"),
+    ("stat_vector", {"labels": [1, 2, 3, 4, 5]}, VertexSetMismatchError, "5 labels for 4 vertices"),
+    ("stat_vector", {"edge_colors": {}}, FormatError, r"edge \(0, 1\) has no colour"),
+    ("stat_vector", {"label_width": -1}, FormatError, "label width -1 outside 0..255"),
+    ("stat_vector", {"label_width": 300}, FormatError, "label width 300 outside 0..255"),
+    ("extract_ball", {"label_width": -1}, FormatError, "label width -1 outside 0..255"),
+    ("extract_ball", {"labels": [1]}, VertexSetMismatchError, "1 labels for 4 vertices"),
+    ("extract_ball", {"edge_colors": {}}, FormatError, r"edge \(0, 1\) has no colour"),
+    ("codes_at_radii", {"label_width": -1}, FormatError, "label width -1 outside 0..255"),
+], ids=["negative_width", "short_labels", "long_labels", "uncoloured_edge",
+        "unlabelled_negative_width", "unlabelled_wide_width", "extract_negative_width",
+        "extract_short_labels", "extract_uncoloured_edge", "codes_negative_width"])
+def test_malformed_decorations_are_typed(entry, kwargs, error, match):
     # these used to end in a bare ValueError, IndexError or KeyError, or,
-    # with a label too many, were accepted silently
+    # with a label too many or a width of 300 without labels, were accepted
+    # silently
     with pytest.raises(error, match=match):
-        stat_vector(cycle(4), 1, **kwargs)
+        _ENTRIES[entry](cycle(4), **kwargs)
 
 
 def test_out_of_range_root_is_refused():
@@ -629,7 +646,9 @@ def _cycle_and_triangles(cycle_first: bool) -> RootedBall:
 def test_leaf_encodings_in_the_cache_are_sound():
     # every ball key the search stores, for a leaf or for a ball in ball
     # order, maps to a code whose decoded ball has the key's radius and
-    # flags and, coded afresh, gives the stored code back
+    # flags and, coded afresh, gives the stored code back; and the key,
+    # written out as a code, is a ball of that class: equal keys give
+    # isomorphic balls
     shared: dict = {}
     for g, labels, width, colors in _form_hosts():
         census(g, (1, 2, 3), labels, width, colors, shared)
@@ -642,6 +661,7 @@ def test_leaf_encodings_in_the_cache_are_sound():
         flags = (ball.labels is not None) | (ball.edge_colors is not None) << 1
         assert (key[0], key[2]) == (ball.radius, flags)
         assert canonical_code(ball) == code
+        assert canonical_code(decode_code(balls._serialize(key))) == code
     # balls of relabelled hosts are numbered differently, so a fresh table
     # answers many of them from a ball key
     known = _CodeTable()

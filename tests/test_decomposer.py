@@ -126,19 +126,19 @@ def test_absorb_small_parts():
     # fraction 1/50 = 0.02 <= delta/(10 d K) = 0.9/40 = 0.0225
     assignment = [1] * 49 + [2]
     p = _partition_for(g, assignment, 2)
-    absorbed = absorb_small_parts(g, p, Fraction(9, 10), 2, THRESHOLD_PROOF)
+    absorbed = absorb_small_parts(g, p, Fraction(9, 10), THRESHOLD_PROOF)
     assert absorbed.assignment[49] == 0
     assert absorbed.part_sizes().get(0) == 1
     # absorbed part's incident edges are deleted
     assert set(p.deleted_edges) <= set(absorbed.deleted_edges)
     # idempotent
-    assert absorb_small_parts(g, absorbed, Fraction(9, 10), 2, THRESHOLD_PROOF) == absorbed
+    assert absorb_small_parts(g, absorbed, Fraction(9, 10), THRESHOLD_PROOF) == absorbed
 
 
 def test_absorb_identity_when_all_big():
     g = cycle(12)
     p = _partition_for(g, [1] * 6 + [2] * 6, 2)
-    assert absorb_small_parts(g, p, Fraction(1, 10), 2) == p
+    assert absorb_small_parts(g, p, Fraction(1, 10)) == p
 
 
 def test_absorb_counts_internal_edges():
@@ -149,7 +149,7 @@ def test_absorb_counts_internal_edges():
     assignment[100] = assignment[101] = 2
     p = _partition_for(g, assignment, 3)
     before = set(p.deleted_edges)
-    absorbed = absorb_small_parts(g, p, Fraction(9, 10), 3, THRESHOLD_PROOF)
+    absorbed = absorb_small_parts(g, p, Fraction(9, 10), THRESHOLD_PROOF)
     gained = set(absorbed.deleted_edges) - before
     assert gained == {(0, 1), (100, 101)}
     assert absorbed.part_sizes()[0] == 4
