@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from struct import pack
+from struct import pack, unpack
 
 from .errors import FormatError, RadiusMismatchError, VertexSetMismatchError
 from .graph import Graph, from_adjacency
@@ -680,7 +680,11 @@ def _serialize(key: tuple) -> bytes:
 
 
 def decode_code(code: bytes) -> RootedBall:
-    """Reconstruct a RootedBall from its canonical code bytes."""
+    """Reconstruct a RootedBall from its canonical code bytes.
+
+    Raises ``FormatError`` when a field runs past the end of the bytes,
+    bytes trail the last field, or a vertex v's upper ids are not strictly
+    ascending within v < u < n (as every code lists them)."""
     if len(code) < 6 or code[0] != _TAG:
         raise FormatError("not a ball code")
     radius = code[1]
@@ -690,33 +694,35 @@ def decode_code(code: bytes) -> RootedBall:
     has_labels = bool(flags & 1)
     has_colors = bool(flags & 2)
     pos = 6
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        if pos + size > len(code):
+            raise FormatError(f"ball code of {len(code)} bytes is truncated")
+        pos += size
+        return code[pos - size : pos]
+
     adj: list[list[int]] = [[] for _ in range(n)]
     edge_order: list[tuple[int, int]] = []
     for v in range(n):
-        cnt = code[pos]
-        pos += 1
-        for _ in range(cnt):
-            u = int.from_bytes(code[pos : pos + 2], "little")
-            pos += 2
+        cnt = take(1)[0]
+        prev = v
+        for u in unpack(f"<{cnt}H", take(2 * cnt)):
+            if not prev < u < n:
+                raise FormatError(f"vertex {v} lists upper id {u} out of order "
+                                  f"or outside {v + 1}..{n - 1}")
+            prev = u
             adj[v].append(u)
             adj[u].append(v)
             edge_order.append((v, u))
     labels = None
     if has_labels:
         nbytes = (width + 7) // 8
-        vals = []
-        for _ in range(n):
-            raw = int.from_bytes(code[pos : pos + nbytes], "big")
-            vals.append(raw >> (nbytes * 8 - width))
-            pos += nbytes
-        labels = tuple(vals)
+        labels = tuple(int.from_bytes(take(nbytes), "big") >> (nbytes * 8 - width)
+                       for _ in range(n))
     colors = None
     if has_colors:
-        colors = {}
-        for v, u in edge_order:
-            c = int.from_bytes(code[pos : pos + 2], "little")
-            pos += 2
-            colors[(min(v, u), max(v, u))] = c
+        colors = {(v, u): int.from_bytes(take(2), "little") for v, u in edge_order}
     if pos != len(code):
         raise FormatError("trailing bytes in ball code")
     # degree bound of the decoded local graph: actual max degree

@@ -1,10 +1,11 @@
 """Command-line surface binding the modules into reproducible runs.
 
-Every artifact-producing run also writes a RunManifest (parameters, seeds,
-paths, wall time) next to its primary output; handlers read and write files
-only through it, so it lists every one.  Re-running the recorded argv
-reproduces the artifacts byte-exactly.  Verdicts are data: a certified
-violation still exits 0.  Domain errors exit 1, usage errors exit 2.
+Every artifact-producing run also writes a RunManifest (every parsed
+option, seeds, paths, wall time) next to its primary output; handlers read
+and write files only through it, so it lists every one.  Re-running the
+recorded argv reproduces the artifacts byte-exactly.  Verdicts are data: a
+certified violation still exits 0.  Domain errors exit 1, usage errors
+exit 2.
 """
 
 from __future__ import annotations
@@ -180,6 +181,10 @@ def main(argv=None) -> int:
         missing = "--radius" if args.radius is None else "--epsilon"
         parser.error(f"decompose: --epsilon and --radius verify together; {missing} is missing")
     mw = reports.ManifestWriter(args.subcommand, raw)
+    options = {k: v for k, v in vars(args).items() if k not in ("subcommand", "manifest")}
+    if "seed" in options:
+        mw.seed(seed=options.pop("seed"))
+    mw.record(**options)
     try:
         code = _HANDLERS[args.subcommand](args, mw)
         mw.finish(args.manifest or args.out and args.out + ".manifest.json")
@@ -204,7 +209,6 @@ def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
         params = tuple(int(x) for x in args.params.split(",") if x != "")
         spec = families.FamilySpec(args.kind, params, seed=args.seed)
     mw.record(spec=spec.to_json())
-    mw.seed(seed=args.seed)
     g = families.generate(spec)
     mw.write(args.out, graph.to_edge_list(g))
     print(f"wrote {args.out}: n={g.n} m={g.edge_count()} d={g.degree_bound}")
@@ -214,7 +218,6 @@ def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
 def _cmd_stats(args, mw: reports.ManifestWriter) -> int:
     g = graph.from_edge_list(mw.read(args.input))
     edge_colors = _read_edge_colors(mw, args.colors, g) if args.colors else None
-    mw.record(radius=args.radius)
     s = stats.stat_vector(g, args.radius, edge_colors=edge_colors)
     mw.write(args.out, reports.stat_vector_to_json(s))
     if args.dump_atlas:
@@ -267,9 +270,6 @@ def _cmd_color_edges(args, mw: reports.ManifestWriter) -> int:
 def _cmd_check_quasihom(args, mw: reports.ManifestWriter) -> int:
     g = graph.from_edge_list(mw.read(args.input))
     p = quasihom.QuasihomParams(args.epsilon, args.lam, args.delta, args.radius)
-    mw.record(epsilon=p.epsilon, lam=p.lam, delta=p.delta, radius=p.R,
-              exact=args.exact, budget=args.budget)
-    mw.seed(seed=args.seed)
     if args.exact:
         verdict = quasihom.check_exact(g, p)
     else:
@@ -283,9 +283,6 @@ def _cmd_check_quasihom(args, mw: reports.ManifestWriter) -> int:
 
 def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
     g = graph.from_edge_list(mw.read(args.input))
-    mw.record(delta=args.delta, lam=args.lam, kmax=args.kmax,
-              signature_radius=args.signature_radius, threshold_mode=args.threshold_mode)
-    mw.seed(seed=args.seed)
     p = dec.decompose(g, args.delta, args.lam, args.kmax,
                       args.signature_radius, args.seed, args.threshold_mode)
     doc = reports.partition_to_json(p)
@@ -306,10 +303,6 @@ def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
 def _cmd_verify_partition(args, mw: reports.ManifestWriter) -> int:
     g = graph.from_edge_list(mw.read(args.input))
     p = reports.partition_from_json(json.loads(mw.read(args.partition)))
-    mw.record(delta=args.delta, lam=args.lam, epsilon=args.epsilon,
-              radius=args.radius, mode=args.mode, budget=args.budget,
-              threshold_mode=args.threshold_mode)
-    mw.seed(seed=args.seed)
     verdict = dec.verify_partition(
         g, p, args.delta, args.lam, args.epsilon, args.radius,
         args.mode, args.threshold_mode, args.budget, args.seed,
@@ -329,7 +322,6 @@ def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
         (graph.from_edge_list(mw.read(gp)), reports.partition_from_json(json.loads(mw.read(pp))))
         for gp, pp in zip(args.inputs, args.partitions)
     ]
-    mw.record(radius=args.radius)
     rep = dec.splitting_diagnostics(seq, args.radius)
     mw.write(args.out, reports.splitting_to_json(rep))
     print(f"items={len(rep.items)} mixture_exact={[it.mixture_exact for it in rep.items]}")
@@ -339,7 +331,6 @@ def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
 def _cmd_convergence(args, mw: reports.ManifestWriter) -> int:
     doc = reports.document_of_kind(json.loads(mw.read(args.specs)), "family_specs")
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
-    mw.record(radius=args.radius, count=len(specs))
     rep = families.sequence(specs, args.radius)
     mw.write(args.out, reports.convergence_to_json(rep))
     print(f"wrote {args.out}: {len(specs)} specs, "

@@ -215,6 +215,7 @@ def absorb_small_parts(
     """Delete the internal edges of every below-threshold part of ``p`` (the
     threshold taken at ``p.K`` parts) and move its vertices into the
     leftover part.  Idempotent."""
+    _check_assignment(g, p)
     threshold = part_size_threshold(delta, g.degree_bound, p.K, threshold_mode)
     sizes = p.part_sizes()
     doomed = {

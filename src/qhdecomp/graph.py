@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeExceededError,
@@ -82,6 +82,13 @@ def from_adjacency(adjacency: Sequence[Sequence[int]], d: int) -> Graph:
     return Graph(len(adjacency), tuple(tuple(sorted(a)) for a in adjacency), d)
 
 
+def _check_subset(g: Graph, members: Collection[int]) -> None:
+    """Refuse a vertex set with a member outside 0..n-1 (a negative id
+    would otherwise alias a vertex from the end)."""
+    if members and (min(members) < 0 or max(members) >= g.n):
+        raise VertexSetMismatchError("subset vertex out of range")
+
+
 def spanned_subgraph(g: Graph, subset: Sequence[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on ``subset``, re-indexed contiguously.
 
@@ -89,8 +96,7 @@ def spanned_subgraph(g: Graph, subset: Sequence[int]) -> tuple[Graph, dict[int, 
     yields the empty graph.
     """
     members = sorted(set(subset))
-    if members and (members[0] < 0 or members[-1] >= g.n):
-        raise VertexSetMismatchError("subset vertex out of range")
+    _check_subset(g, members)
     index = {old: new for new, old in enumerate(members)}
     adj: list[list[int]] = [[] for _ in members]
     for old in members:
@@ -104,6 +110,7 @@ def spanned_subgraph(g: Graph, subset: Sequence[int]) -> tuple[Graph, dict[int, 
 def boundary_edge_count(g: Graph, subset: Iterable[int]) -> int:
     """Number of edges with exactly one endpoint in ``subset``."""
     inside = set(subset)
+    _check_subset(g, inside)
     count = 0
     for v in inside:
         for w in g.adjacency[v]:
@@ -193,18 +200,18 @@ def to_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """The two integers of an edge-list line."""
+    try:
+        a, b = map(int, line.split())  # too few or many tokens raise too
+    except ValueError:
+        raise FormatError(f"bad {what} line: {line!r}") from None
+    return a, b
+
+
 def from_edge_list(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty edge-list document")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"bad header line: {lines[0]!r}")
-    n, d = int(head[0]), int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return validate(edges, n, d)
+    n, d = _int_pair(lines[0], "header")
+    return validate([_int_pair(ln, "edge") for ln in lines[1:]], n, d)

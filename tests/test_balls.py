@@ -470,12 +470,16 @@ def test_bfs_tree_radius_matches_edge_count():
 GOLDEN_CODES_SHA256 = "dc7940a3e64b4d181d6ae5cf9f033a0b1ea062b107de3afc52c0926892c20252"
 
 
-def _golden_corpus_digest():
+def _golden_corpus_digest(codes=None):
+    """The corpus digest; each code fed is also added to the set ``codes``
+    when one is given."""
     h = hashlib.sha256()
 
     def feed(code):
         h.update(len(code).to_bytes(4, "little"))
         h.update(code)
+        if codes is not None:
+            codes.add(code)
 
     def per_vertex(g, radii, labels=None, width=0, colors=None):
         cache = {}
@@ -512,6 +516,21 @@ def _golden_corpus_digest():
 
 def test_golden_code_bytes():
     assert _golden_corpus_digest() == GOLDEN_CODES_SHA256
+
+
+def test_truncated_codes_are_refused():
+    # a cut inside a count, id, label or colour used to end in a bare
+    # IndexError or to decode a ball from a short read
+    codes = set()
+    _golden_corpus_digest(codes)
+    decoded = []
+    for code in codes:
+        for end in range(len(code)):
+            try:
+                decoded.append(decode_code(code[:end]))
+            except FormatError:
+                pass
+    assert decoded == []
 
 
 def test_radius_beyond_code_format_refused_before_bfs(monkeypatch):
@@ -551,6 +570,13 @@ def test_unencodable_colours_and_label_widths_are_typed():
         stat_vector(g, 1, labels=[1, 2, 3], label_width=300)
     assert stat_vector(g, 1, labels=[1, 2, 3], label_width=255).R == 1
     assert stat_vector(g, 1, edge_colors={(0, 1): 0, (0, 2): 0xFFFF, (1, 2): 2}).R == 1
+    # malformed codes: the first two used to raise a bare IndexError, the
+    # third (vertex 0 its own upper neighbour) decoded to a self-loop
+    for hexcode, match in (("510105000000", "truncated"),
+                           ("51010200000001090000", "upper id 9"),
+                           ("51010200000001000000", "upper id 0")):
+        with pytest.raises(FormatError, match=match):
+            decode_code(bytes.fromhex(hexcode))
 
 
 _ENTRIES = {

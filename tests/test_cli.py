@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qhdecomp
 from qhdecomp import reports
-from qhdecomp.cli import main
+from qhdecomp.cli import build_parser, main
 from qhdecomp.families import FamilySpec, generate
 from qhdecomp.graph import from_edge_list, to_edge_list
 
@@ -301,6 +302,9 @@ ARTIFACT_ARGV = {
                        "3", "--out", "o.json"],
     "decompose": ["decompose", "--input", "g.el", *_THREE_PARAMS, "--kmax", "2",
                   "--signature-radius", "1", "--seed", "2", "--out", "o.json"],
+    "decompose_verified": ["decompose", "--input", "g.el", "--delta", "1/10", "--lambda",
+                           "3/10", "--kmax", "2", "--signature-radius", "1", "--epsilon",
+                           "1/12", "--radius", "2", "--budget", "50", "--out", "o.json"],
     "verify_partition": ["verify-partition", "--input", "g.el", "--partition", "p.json",
                          *_THREE_PARAMS, "--mode", "exact", "--out", "o.json"],
     "split_diagnostics": ["split-diagnostics", "--inputs", "g.el", "--partitions", "p.json",
@@ -353,6 +357,18 @@ def test_manifest_lists_files_and_replays(artifact_inputs, tmp_path, monkeypatch
     manifest = reports.validate_document(json.loads(manifest_path.read_text()))
     assert (manifest["inputs"], manifest["outputs"]) == (inputs, outputs)
     assert manifest["argv"] == argv
+    # every option parsed from the recorded argv, defaults included, is
+    # recorded once: --seed under seeds, the rest under parameters
+    options = {k: reports.rational(v) if isinstance(v, Fraction) else v
+               for k, v in vars(build_parser().parse_args(manifest["argv"])).items()
+               if k not in ("subcommand", "manifest")}
+    recorded = {**manifest["parameters"], **manifest["seeds"]}
+    assert len(recorded) == len(manifest["parameters"]) + len(manifest["seeds"])
+    if manifest["subcommand"] == "generate":
+        # in place of the --spec path, the spec the run resolved
+        FamilySpec.from_json(recorded["spec"])
+        options["spec"] = recorded["spec"]
+    assert recorded == options
     first = {out: (tmp_path / out).read_bytes() for out in outputs}
     for out in outputs:
         (tmp_path / out).unlink()

@@ -179,6 +179,11 @@ def test_declared_k_beyond_vertex_count_is_refused():
         splitting_diagnostics([(g, p)], 1)
     # K = n is a partition into singletons
     assert splitting_diagnostics([(g, Partition(3, (1, 2, 3), 3, tuple(g.edges())))], 1).K == 3
+    # absorb_small_parts used to return both of these unchecked
+    with pytest.raises(InconsistentPartitionError, match="host size mismatch"):
+        absorb_small_parts(cycle(4), Partition(5, (1, 1, 1, 1), 1, ()), Fraction(1, 10))
+    with pytest.raises(InconsistentPartitionError, match="vertex 1 is in part 3, outside 0..1"):
+        absorb_small_parts(cycle(4), Partition(4, (0, 3, 3, 3), 1, ()), Fraction(1, 10))
 
 
 def test_verify_rejects_total_deletion():

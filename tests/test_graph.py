@@ -54,6 +54,11 @@ def test_validate_negative_sizes():
             validate([], n, d)
     with pytest.raises(FormatError, match="n=-2"):
         from_edge_list("-2 2\n")
+    # a non-integer token used to raise a bare ValueError from int()
+    with pytest.raises(FormatError, match="bad edge line: '0 x'"):
+        from_edge_list("4 2\n0 x\n")
+    with pytest.raises(FormatError, match="bad header line: 'four 2'"):
+        from_edge_list("four 2\n")
 
 
 def test_spanned_subgraph_arc_of_cycle():
@@ -142,6 +147,10 @@ def test_edit_distance_examples():
 def test_edit_distance_mismatch():
     with pytest.raises(VertexSetMismatchError):
         edit_distance(cycle(4), cycle(5))
+    # -1 used to alias vertex 3 (a boundary of 2), and 9 raised IndexError
+    for bad in ([-1], [9]):
+        with pytest.raises(VertexSetMismatchError, match="out of range"):
+            boundary_edge_count(cycle(4), bad)
 
 
 @given(graphs(max_n=14), st.randoms(use_true_random=False))
