@@ -682,15 +682,24 @@ def _serialize(key: tuple) -> bytes:
 def decode_code(code: bytes) -> RootedBall:
     """Reconstruct a RootedBall from its canonical code bytes.
 
-    Raises ``FormatError`` when a field runs past the end of the bytes,
-    bytes trail the last field, or a vertex v's upper ids are not strictly
-    ascending within v < u < n (as every code lists them)."""
+    Raises ``FormatError`` when the bytes are no ball's code: the header
+    has no vertex, sets a flag bit above bit 1 or a label width without the
+    label flag; a field runs past the end of the bytes, or bytes trail the
+    last field; a vertex v's upper ids are not strictly ascending within
+    v < u < n (as every code lists them); a label sets a padding bit; or a
+    vertex lies beyond the radius from the root, vertex 0."""
     if len(code) < 6 or code[0] != _TAG:
         raise FormatError("not a ball code")
     radius = code[1]
     n = int.from_bytes(code[2:4], "little")
     flags = code[4]
     width = code[5]
+    if n == 0:
+        raise FormatError("ball code has no vertex")
+    if flags > 3:
+        raise FormatError(f"ball code flags {flags:#04x} set a bit above bit 1")
+    if width and not flags & 1:
+        raise FormatError(f"ball code has label width {width} but no labels")
     has_labels = bool(flags & 1)
     has_colors = bool(flags & 2)
     pos = 6
@@ -718,13 +727,23 @@ def decode_code(code: bytes) -> RootedBall:
     labels = None
     if has_labels:
         nbytes = (width + 7) // 8
-        labels = tuple(int.from_bytes(take(nbytes), "big") >> (nbytes * 8 - width)
-                       for _ in range(n))
+        shift = nbytes * 8 - width
+        padded = [int.from_bytes(take(nbytes), "big") for _ in range(n)]
+        if any(label & ((1 << shift) - 1) for label in padded):
+            raise FormatError(f"a {width}-bit label sets a padding bit")
+        labels = tuple(label >> shift for label in padded)
     colors = None
     if has_colors:
         colors = {(v, u): int.from_bytes(take(2), "little") for v, u in edge_order}
     if pos != len(code):
         raise FormatError("trailing bytes in ball code")
+    layer, reached = [0], {0}
+    for _ in range(radius):
+        layer = [u for v in layer for u in adj[v] if u not in reached]
+        reached.update(layer)
+    if len(reached) < n:
+        raise FormatError(f"{n - len(reached)} of {n} vertices lie beyond radius {radius} "
+                          "of the root")
     # degree bound of the decoded local graph: actual max degree
     maxdeg = max((len(a) for a in adj), default=0)
     return RootedBall(

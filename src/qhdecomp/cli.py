@@ -208,6 +208,8 @@ def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
             raise QhError("either --spec or --kind is required")
         params = tuple(int(x) for x in args.params.split(",") if x != "")
         spec = families.FamilySpec(args.kind, params, seed=args.seed)
+    # a spec file sets its own seed in place of --seed
+    mw.seed(seed=spec.seed)
     mw.record(spec=spec.to_json())
     g = families.generate(spec)
     mw.write(args.out, graph.to_edge_list(g))

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from math import ceil, exp, floor
 from random import Random
 
@@ -90,9 +90,11 @@ class _SubsetEvaluator:
     and equal v's codes in G when the whole ball lies in S.  The evaluator
     keeps G's census (every vertex's codes at radii 1..R), the integer code
     counts of G, the members of each ball B_G(v, R), a memo of v's codes
-    keyed by which of those members S holds, and one raw-key -> code cache
-    shared by G's census and the subgraph balls of all candidates.  Both
-    caches start over once they pass ``_MAX_CACHED_CODES`` entries.
+    keyed by which of those members S holds, one raw-key -> code cache
+    shared by G's census and the subgraph balls of all candidates, and a
+    memo of each scored S's exact d_s keyed by its membership bitmask.
+    Each of the three starts over once it passes ``_MAX_CACHED_CODES``
+    entries.
     """
 
     def __init__(self, g: Graph, R: int):
@@ -103,25 +105,44 @@ class _SubsetEvaluator:
         self.radii = range(1, R + 1)
         self.codes: dict = {}
         self.local: dict[tuple[int, bytes], tuple[bytes, ...]] = {}
+        self.values: dict[int, Fraction] = {}
         self.base = balls.census(g, self.radii, cache=self.codes)
         self.base_counts = [Counter(codes[i] for codes in self.base) for i in range(R)]
         self.members = [tuple(balls._bfs(g, v, R)[0]) for v in range(g.n)]
 
     def evaluate(self, subset: list[int], boundary: int, delta: Fraction) -> WitnessStats:
         """Statistics of G[subset], whose ``boundary`` the caller counted;
-        ``subset`` is sorted, distinct, nonempty."""
-        if len(self.codes) > _MAX_CACHED_CODES:
-            self.codes.clear()
-        if len(self.local) > _MAX_CACHED_CODES:
-            self.local.clear()
-        inside = bytearray(self.g.n)
+        ``subset`` is sorted, distinct, nonempty.  Only d_s is memoized, so
+        every call returns fresh stats with the caller's boundary and delta."""
+        for cache in (self.codes, self.local, self.values):
+            if len(cache) > _MAX_CACHED_CODES:
+                cache.clear()
+        # inside[v] is the binary digit of v's membership in S
+        inside = bytearray(b"0" * self.g.n)
         for v in subset:
-            inside[v] = 1
+            inside[v] = 0x31
+        # bit v is set when v is in S: n bits, where a tuple of S would
+        # hold an int object per member
+        key = int(inside[::-1], 2)
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self._distance(subset, inside)
+        tail = Fraction(1, 2 ** self.R)
+        return WitnessStats(
+            size_fraction=Fraction(len(subset), self.g.n),
+            boundary=boundary,
+            ds_value=value,
+            tail=tail,
+            certified=value > delta + tail,
+        )
+
+    def _distance(self, subset: list[int], inside: bytearray) -> Fraction:
+        """d_s(G[subset], G) at radius R; ``inside[v]`` is b"1" for the members."""
         sub = index = None
         tally: dict[tuple[bytes, ...], int] = {}
         for v in subset:
             seen = bytes(map(inside.__getitem__, self.members[v]))
-            if 0 not in seen:
+            if b"0" not in seen:
                 codes = self.base[v]
             else:
                 codes = self.local.get((v, seen))
@@ -140,15 +161,7 @@ class _SubsetEvaluator:
             for codes, count in tally.items():
                 part[codes[i]] = part.get(codes[i], 0) + count
             num += tv_numerator(whole, n, part, m) << (self.R - 1 - i)
-        value = Fraction(num, (2 * n * m) << self.R)
-        tail = Fraction(1, 2 ** self.R)
-        return WitnessStats(
-            size_fraction=Fraction(m, n),
-            boundary=boundary,
-            ds_value=value,
-            tail=tail,
-            certified=value > delta + tail,
-        )
+        return Fraction(num, (2 * n * m) << self.R)
 
 
 @lru_cache(maxsize=_EVALUATOR_MEMO)
@@ -340,6 +353,7 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng):
     stride; size and boundary are tracked exactly, so none needs a recount."""
     n = g.n
     adj = g.adjacency
+    deg = [len(nbrs) for nbrs in adj]
     member = [rng.random() < float(p.lam) + 0.1 for _ in range(n)]
     size = sum(member)
     # cut[v]: neighbours of v on the other side of the cut, kept up to date
@@ -357,40 +371,37 @@ def _anneal_chain(g, p, s_min, b_max, iterations, rng):
     # temp falls from temp0 to temp0 * ratio = 0.01, so it never nears 0
     temp0 = 2.0
     span, ratio = max(1, iterations - 1), 0.01 / temp0
+    # iterations until the next evaluation: 0 exactly when it % eval_stride == 0
+    countdown = 0
     for it in range(iterations):
-        # bias flips toward cut-adjacent vertices without rebuilding the cut
+        # bias flips toward cut-adjacent vertices without rebuilding the cut:
+        # up to 5 redraws, each after a uniform() drawn before cut[v] is read
         v = bits(k)
         while v >= n:
             v = bits(k)
-        for _ in range(5):
-            if uniform() < 0.2 or cut[v]:
-                break
+        redraws = 5
+        while redraws and uniform() >= 0.2 and not cut[v]:
+            redraws -= 1
             v = bits(k)
             while v >= n:
                 v = bits(k)
         # flipping v moves its cut edges inside and its other edges onto the cut
         new_size = size - 1 if member[v] else size + 1
-        new_boundary = boundary + len(adj[v]) - 2 * cut[v]
+        new_boundary = boundary + deg[v] - 2 * cut[v]
         new_energy = (weight * (s_min - new_size) if new_size < s_min else 0) + (
             new_boundary - b_max if new_boundary > b_max else 0
         )
         delta_e = new_energy - current
         # only an uphill move draws: the RNG stream is part of every verdict
-        if delta_e <= 0:
-            accept = True
-        else:
-            temp = temp0 * ratio ** (it / span)
-            accept = uniform() < exp(-delta_e / temp)
-        if accept:
+        if delta_e <= 0 or uniform() < exp(-delta_e / (temp0 * ratio ** (it / span))):
             side = member[v] = not member[v]
-            cut[v] = len(adj[v]) - cut[v]
+            cut[v] = deg[v] - cut[v]
             for w in adj[v]:
                 cut[w] += 1 if member[w] != side else -1
             size, boundary, current = new_size, new_boundary, new_energy
-        if (
-            it % eval_stride == 0
-            and size >= s_min
-            and boundary <= b_max
-            and size < n
-        ):
-            yield [u for u in range(n) if member[u]], boundary
+        if countdown:
+            countdown -= 1
+            continue
+        countdown = eval_stride - 1
+        if size >= s_min and boundary <= b_max and size < n:
+            yield list(compress(range(n), member)), boundary

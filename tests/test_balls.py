@@ -579,6 +579,24 @@ def test_unencodable_colours_and_label_widths_are_typed():
             decode_code(bytes.fromhex(hexcode))
 
 
+@pytest.mark.parametrize("hexcode, match", [
+    # no vertex: canonical_code of the decoded ball ended in an IndexError
+    ("510100000000", "no vertex"),
+    # a padding bit after a 1-bit label: decoded to labels (1, 1), which
+    # re-encode as ...8080
+    ("510102000101010100008180", "padding bit"),
+    # two isolated vertices at radius 1: the root reaches neither other
+    ("5101020000000000", "1 of 2 vertices lie beyond radius 1"),
+    # headers no writer emits: flag bit 2, and a label width without labels
+    ("51010200040001010000", "flags 0x04"),
+    ("51010200000101010000", "label width 1 but no labels"),
+])
+def test_codes_no_ball_has_are_refused(hexcode, match):
+    # each of these used to decode
+    with pytest.raises(FormatError, match=match):
+        decode_code(bytes.fromhex(hexcode))
+
+
 _ENTRIES = {
     "stat_vector": lambda g, **kwargs: stat_vector(g, 1, **kwargs),
     "extract_ball": lambda g, **kwargs: extract_ball(g, 0, 1, **kwargs),

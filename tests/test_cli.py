@@ -58,6 +58,18 @@ def test_generate_spec_reads_integral_floats(workdir):
     assert a.read_text() == b.read_text()
 
 
+def test_generate_spec_records_its_seed(workdir):
+    # the manifest used to record --seed (default 0) beside the spec's seed 5
+    spec = workdir / "spec.json"
+    spec.write_text(json.dumps({"kind": "random_regular", "params": [12, 3], "seed": 5}))
+    out = workdir / "g.el"
+    assert main(["generate", "--spec", str(spec), "--out", str(out)]) == 0
+    manifest = json.loads((workdir / "g.el.manifest.json").read_text())
+    assert manifest["seeds"] == {"seed": 5}
+    assert manifest["parameters"]["spec"]["seed"] == 5
+    assert out.read_text() == to_edge_list(generate(FamilySpec("random_regular", (12, 3), seed=5)))
+
+
 def test_generated_families_round_trip_bit_exact(workdir):
     specs = [
         FamilySpec("cycle", (13,)),

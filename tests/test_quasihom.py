@@ -312,6 +312,37 @@ def test_evaluator_matches_reference():
                 assert got == evaluate(g, base, subset, p), (g, R, subset)
 
 
+def test_value_memo_follows_the_caller(monkeypatch):
+    # the memo holds d_s alone: certified follows each call's delta, the
+    # boundary is the caller's, and no call shares its stats object
+    g = _evaluator_cases()[0]
+    R = 2
+    ev = quasihom._evaluator(g, R)
+    subset = list(range(g.n // 2))
+    boundary = boundary_edge_count(g, subset)
+    first = ev.evaluate(subset, boundary, Fraction(1, 10 ** 6))
+    tail = first.tail
+    assert first.ds_value > tail
+    low = ev.evaluate(subset, boundary, first.ds_value - tail - Fraction(1, 10 ** 6))
+    high = ev.evaluate(subset, boundary, first.ds_value - tail)
+    assert (low.certified, high.certified) == (True, False)
+    p = QuasihomParams(Fraction(1, 10 ** 7), Fraction(1, 10), first.ds_value - tail, R)
+    _, again = verify_certificate(g, subset, p)
+    assert first.ds_value == low.ds_value == high.ds_value == again.ds_value
+    assert again.certified is False and again.boundary == boundary
+    assert len({id(first), id(low), id(high), id(again)}) == 4
+    assert len(ev.values) <= quasihom._MAX_CACHED_CODES + 1
+    # past the cap the memo starts over, and its values stay the reference's
+    monkeypatch.setattr(quasihom, "_MAX_CACHED_CODES", 3)
+    base = stat_vector(g, R)
+    rng = random.Random(2)
+    for _ in range(40):
+        subset = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+        got = ev.evaluate(subset, boundary_edge_count(g, subset), p.delta)
+        assert got == evaluate(g, base, subset, p)
+        assert len(ev.values) <= 4
+
+
 def test_unions_match_bruteforce():
     # over single-vertex blocks the branch yields exactly the admissible
     # subsets in ascending bitmask order, each with its boundary
@@ -481,6 +512,25 @@ def test_anneal_matches_randrange_reference(monkeypatch):
             got = falsify_heuristic(g, p, budget, seed)
             for name in fields:
                 assert getattr(got, name) == getattr(want, name), (g.n, seed, budget, name)
+
+
+def test_anneal_chain_matches_reference_generator():
+    # every yield and the RNG state after the chain, not only the verdict
+    # at the first witness; 24-26 iterations put the stride at 0 and 1
+    yielded = 0
+    for g in _anneal_corpus():
+        for p in _ANNEAL_PARAMS:
+            s_min = quasihom._size_threshold(p, g.n)
+            b_max = quasihom._boundary_budget(p, g.n)
+            for seed in range(3):
+                for iterations in (1, 24, 25, 26, 700, 2500):
+                    ref, new = random.Random(seed), random.Random(seed)
+                    want = list(anneal_chain(g, p, s_min, b_max, iterations, ref))
+                    got = list(quasihom._anneal_chain(g, p, s_min, b_max, iterations, new))
+                    assert got == want, (g.n, p, seed, iterations)
+                    assert new.getstate() == ref.getstate(), (g.n, p, seed, iterations)
+                    yielded += len(got)
+    assert yielded > 1000
 
 
 def test_anneal_yields_only_admissible_sets():
