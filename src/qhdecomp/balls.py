@@ -23,14 +23,19 @@ distinct structures always produce distinct codes; equal structures produce
 equal codes by the canonicalization below.
 
 ``census`` gives every vertex's codes and canonicalizes each kind of ball
-once; it is the one loop of ``codes_at_radii`` over a whole graph.  A ball
+once; it is the one loop of ``codes_at_radii`` over a whole graph.  Each
+ball is found in one BFS pass (``_bfs``) that numbers the members by
+(distance, id) and, walking each member's adjacency once, fills every
+member's sorted row of neighbour ids.  The same pass finds the largest
+radius at which the ball is a tree from its per-layer degree sums.  A ball
 that is a tree is keyed by its root's AHU branch form (``BranchForms``, one
 table per census, built with the census's labels and colours), so
-isomorphic tree balls share one entry however they are numbered; the BFS
-finds the largest radius at which the ball is a tree from its per-layer
-degree sums, so a tree ball whose form is known is never reindexed.  Any
-other ball is keyed by the raw numbered ball.  Either way the code bytes
-come from ``canonical_code`` run on the first ball of each key.
+isomorphic tree balls share one entry however they are numbered, and a
+tree ball whose form is known needs no rows: the walk of its last layer,
+which only completes rows, is left to ``_reindex``, which runs when rows
+are needed.  Any other ball is keyed by the raw numbered ball: its rows,
+labels and colours as tuples.  Either way the code bytes come from
+``canonical_code`` run on the first ball of each key.
 
 The raw-ball cache also maps ball keys (``_ball_key``) to codes, and
 ``canonical_code`` probes them after the raw key or tree form has missed:
@@ -100,8 +105,7 @@ def extract_ball(
     if not 0 <= x < g.n:
         raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
     _check_decorations(g, labels, label_width, edge_colors)
-    index, ends, _ = _bfs(g, x, r)
-    rows, _, ball_labels, ups = _reindex(g, index, ends, labels, label_width, edge_colors)
+    rows, _, ball_labels, ups = _reindex(g, _bfs(g, x, r), labels, label_width, edge_colors)
     return _ball(g, rows, r, ball_labels, label_width, _color_map(rows, ups))
 
 
@@ -142,7 +146,10 @@ class BranchForms:
         if form is None:
             kids = sorted([self._edge(w, y, k - 1) for y in self._adj[w] if y != u]) if k else ()
             colors = self._colors
-            color = 0 if colors is None else colors[(u, w) if u < w else (w, u)]
+            try:
+                color = 0 if colors is None else colors[(u, w) if u < w else (w, u)]
+            except KeyError as missing:
+                raise FormatError(f"edge {missing.args[0]} has no colour") from None
             ids = self._ids
             form = self._edges[key] = ids.setdefault((k, self._label(w), color, *kids), len(ids))
         return form
@@ -154,23 +161,26 @@ def codes_at_radii(
 ) -> dict[int, bytes]:
     """Canonical codes of the balls around ``x`` for several radii at once.
 
-    One BFS and at most one reindexing to max(radii); smaller balls are
-    prefixes of that ball.  ``cache`` may be shared across vertices and
-    calls.  It maps a raw radius-r ball and the requested radii up to r to
-    the codes at those radii (the ball determines every smaller ball), so
-    one probe usually answers a call.  On a miss the radii are walked down
-    to the largest hit, and only the balls above it are canonicalized and
-    stored; ``canonical_code`` also reads and fills ``cache`` as its table
-    of ball keys.
+    One BFS pass to max(radii) numbers the ball and fills its rows, which
+    are completed and become tuples at most once, when a raw key or a ball
+    needs them; smaller balls are prefixes of that ball.  ``cache`` may be
+    shared across vertices and calls.  It maps a raw radius-r ball and the
+    requested radii up to r to the codes at those radii (the ball
+    determines every smaller ball), so one probe usually answers a call.
+    On a miss the radii are walked down to the largest hit, and only the
+    balls above it are canonicalized and stored; ``canonical_code`` also
+    reads and fills ``cache`` as its table of ball keys.
 
     ``forms``, built for ``g`` with the same labels and colours, keys tree
     balls by their root form instead: the balls up to the largest tree
     radius the BFS finds take their codes from ``forms.codes`` and skip the
     raw cache, and when they are all the balls asked for and every form is
-    known, the ball is never reindexed.
+    known, the rows are never completed.
 
     The label width and the label count are checked here; colour coverage
-    is checked by ``census``, which calls this once per vertex.
+    is checked by ``census``, which calls this once per vertex.  Called
+    alone, it raises ``FormatError`` naming the first ball edge whose
+    colour it reads and does not find.
     """
     rs = tuple(sorted(set(radii)))
     if not rs or rs[0] < 0:
@@ -182,13 +192,13 @@ def codes_at_radii(
     if not 0 <= x < g.n:
         raise VertexSetMismatchError(f"root {x} is not a vertex of a graph on {g.n}")
     _check_decorations(g, labels, label_width, None)
-    index, ends, tree = _bfs(g, x, rs[-1])
-    trees = 0 if forms is None else bisect_right(rs, tree)
+    scan = _bfs(g, x, rs[-1])
+    trees = 0 if forms is None else bisect_right(rs, scan[2])
     full = None
     codes: list[bytes] = []
     missed = []
     for i in range(len(rs) - 1, trees - 1, -1):
-        full = full or _reindex(g, index, ends, labels, label_width, edge_colors)
+        full = full or _reindex(g, scan, labels, label_width, edge_colors)
         view = _prefix(full, rs[i])
         key = (rs[: i + 1], label_width) + view
         found = None if cache is None else cache.get(key)
@@ -203,7 +213,7 @@ def codes_at_radii(
         form = forms.root(x, r)
         code = forms.codes.get(form)
         if code is None:
-            full = full or _reindex(g, index, ends, labels, label_width, edge_colors)
+            full = full or _reindex(g, scan, labels, label_width, edge_colors)
             colors = colors or _color_map(full[0], full[3])
             rows, ball_labels, _ = _prefix(full, r)
             code = canonical_code(_ball(g, rows, r, ball_labels, label_width, colors))
@@ -260,10 +270,21 @@ def _check_decorations(g: Graph, labels, label_width: int, edge_colors) -> None:
                 raise FormatError(f"edge {edge} has no colour")
 
 
-def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int], int]:
-    """Host -> ball index of the radius-r ball around ``x``, numbered by
-    (distance, id); ``ends``: ``ends[d]`` members lie at distance < d; and
-    the largest s <= r whose ball is a tree.
+def _bfs(g: Graph, x: int, r: int) -> tuple[list[int], list[int], int, dict[int, list[int]]]:
+    """One pass over the radius-r ball around ``x``: its members numbered
+    by (distance, id); ``ends``: ``ends[d]`` members lie at distance < d;
+    the largest s <= r whose ball is a tree; and each member's row of
+    neighbour ball ids, keyed by host id, still without the ids of the
+    members at distance r.
+
+    The pass visits the members below distance r in id order, the root and
+    then each layer sorted by host id, and walks each one's adjacency
+    once.  The first time it meets a vertex it opens the vertex's row with
+    the member's id and puts the vertex in the next layer; each later
+    meeting appends the member's id.  So every row fills in ascending
+    order.  The last layer's walk, which only appends to rows already
+    open, is left to ``_reindex``: a tree ball whose form is known never
+    needs its rows.
 
     The degree sum of layer d >= 1 counts its edges to layer d - 1 (at
     least one per member), twice its inner edges, and its edges to layer
@@ -274,46 +295,75 @@ def _bfs(g: Graph, x: int, r: int) -> tuple[dict[int, int], list[int], int]:
     checked once, on the last such layer.
     """
     adj = g.adjacency
-    index = {x: 0}
+    row_of = {x: []}
+    members = [x]
     ends = [0, 1]
     layer = top = [x]
     known = 0
+    j = 0
     for d in range(r):
-        nxt = sorted({w for v in layer for w in adj[v]}.difference(index))
+        nxt = []
+        for v in layer:
+            for w in adj[v]:
+                row = row_of.get(w)
+                if row is None:
+                    row_of[w] = [j]
+                    nxt.append(w)
+                else:
+                    row.append(j)
+            j += 1
+        nxt.sort()
         if known == d and (
             d == 0 or sum(map(len, map(adj.__getitem__, layer))) == len(layer) + len(nxt)
         ):
             known = d + 1
             top = nxt
-        for w in nxt:
-            index[w] = len(index)
-        ends.append(len(index))
+        members += nxt
+        ends.append(len(members))
         layer = nxt
-    members = set(top)
-    if any(not members.isdisjoint(adj[v]) for v in top):
+    inner = set(top)
+    if any(not inner.isdisjoint(adj[v]) for v in top):
         known -= 1
-    return index, ends, known
+    return members, ends, known, row_of
 
 
-def _reindex(g, index, ends, labels, label_width, edge_colors):
-    """Sorted neighbour-id rows of the ball ``index`` found by ``_bfs``,
-    its ``ends``, the members' labels and, per row, the colours of its
-    edges to higher ids (``None`` without labels or colours)."""
+def _reindex(g, scan, labels, label_width, edge_colors):
+    """The ball of the ``_bfs`` result ``scan`` as tuples: its rows in id
+    order, its ``ends``, the members' labels and, per row, the colours of
+    its edges to higher ids (``None`` without labels or colours).
+
+    It first walks the last layer, as ``_bfs`` walks the others, to append
+    its ids to the scan's rows, so it runs at most once per scan.  Colours
+    are read in one pass after the rows, and only when given."""
+    members, ends, _, row_of = scan
     adj = g.adjacency
-    # visiting members in id order appends each row's ids in sorted order
-    rows: list = [[] for _ in index]
-    ups: list | None = None if edge_colors is None else [[] for _ in index]
-    for j, v in enumerate(index):
-        for w in adj[v]:
-            i = index.get(w)
-            if i is not None:
-                rows[i].append(j)
-                if ups is not None and i < j:
-                    ups[i].append(edge_colors[(w, v) if w < v else (v, w)])
+    for j in range(ends[-2], ends[-1]):
+        for w in adj[members[j]]:
+            row = row_of.get(w)
+            if row is not None:
+                row.append(j)
+    rows = tuple(map(tuple, map(row_of.__getitem__, members)))
     mask = (1 << label_width) - 1
-    ball_labels = None if labels is None else tuple(labels[v] & mask for v in index)
-    colors = None if ups is None else tuple(map(tuple, ups))
-    return tuple(map(tuple, rows)), ends, ball_labels, colors
+    ball_labels = None if labels is None else tuple([labels[v] & mask for v in members])
+    colors = None
+    if edge_colors is not None:
+        ups = []
+        at = members.__getitem__
+        try:
+            for i, (v, row) in enumerate(zip(members, rows)):
+                # a row's ids ascend, so one look at its last tells whether
+                # it has an upper edge; most rows in the last layer do not
+                if row and row[-1] > i:
+                    cs = []
+                    for w in map(at, row[bisect_right(row, i):]):
+                        cs.append(edge_colors[(v, w) if v < w else (w, v)])
+                    ups.append(tuple(cs))
+                else:
+                    ups.append(())
+        except KeyError as missing:
+            raise FormatError(f"edge {missing.args[0]} has no colour") from None
+        colors = tuple(ups)
+    return rows, ends, ball_labels, colors
 
 
 def _prefix(full, s):
@@ -339,8 +389,8 @@ def _color_map(rows, ups):
     """Ball edge (i, j), i < j -> colour, from rows and upper-edge colours."""
     return None if ups is None else {
         (i, j): c
-        for i, (row, cs) in enumerate(zip(rows, ups))
-        for j, c in zip(row[len(row) - len(cs):], cs)
+        for i, (row, cs) in enumerate(zip(rows, ups)) if cs
+        for j, c in zip(row[-len(cs):], cs)
     }
 
 
@@ -686,8 +736,13 @@ def decode_code(code: bytes) -> RootedBall:
     has no vertex, sets a flag bit above bit 1 or a label width without the
     label flag; a field runs past the end of the bytes, or bytes trail the
     last field; a vertex v's upper ids are not strictly ascending within
-    v < u < n (as every code lists them); a label sets a padding bit; or a
-    vertex lies beyond the radius from the root, vertex 0."""
+    v < u < n (as every code lists them); a label sets a padding bit; a
+    vertex lies beyond the radius from the root, vertex 0; or the bytes are
+    not what ``_serialize`` writes for the ball's key in the decoded order
+    of its core.  So a tree ball has exactly one accepted byte string, its
+    code; a ball with a core of more than the root is also accepted in a
+    root-first order of its core other than the canonical one, which is
+    how the key table's first-leaf and ball-order keys write out."""
     if len(code) < 6 or code[0] != _TAG:
         raise FormatError("not a ball code")
     radius = code[1]
@@ -746,9 +801,14 @@ def decode_code(code: bytes) -> RootedBall:
                           "of the root")
     # degree bound of the decoded local graph: actual max degree
     maxdeg = max((len(a) for a in adj), default=0)
-    return RootedBall(
+    ball = RootedBall(
         from_adjacency(adj, maxdeg), radius, labels, width if has_labels else 0, colors
     )
+    core, _, form = _strip_pendants(ball)
+    if _serialize(_ball_key(ball, core, form)) != code:
+        raise FormatError("ball code does not number its core first and then its "
+                          "pendant trees in preorder of their forms")
+    return ball
 
 
 def strip_decorations(code: bytes) -> bytes:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -448,7 +449,7 @@ def test_bfs_tree_radius_matches_edge_count():
     for g in _bfs_hosts():
         for x in range(g.n):
             for r in range(5):
-                index, ends, tree = balls._bfs(g, x, r)
+                index, ends, tree, _ = balls._bfs(g, x, r)
                 members, layer = oracles._bfs_members(g, x, r)
                 assert list(index) == members
                 assert ends == [0] + [sum(layer[v] <= s for v in members) for s in range(r + 1)]
@@ -462,6 +463,56 @@ def test_bfs_tree_radius_matches_edge_count():
     # the subset evaluator's ball members keep that order
     ev = quasihom._SubsetEvaluator(_form_hosts()[0][0], 3)
     assert ev.members == [tuple(oracles._bfs_members(ev.g, v, 3)[0]) for v in range(ev.g.n)]
+
+
+def test_one_pass_scan_matches_oracle_ball():
+    # the one BFS pass numbers the ball and fills its rows; with the last
+    # layer's ids, labels and upper colours _reindex adds, every piece
+    # equals the oracle ball built from the oracle member order
+    plain = [(g, None, 0, None) for g in _bfs_hosts()[:3]]
+    for g, labels, width, colors in plain + _form_hosts() + _decorated_hosts():
+        for x in range(g.n):
+            for r in range(5):
+                scan = balls._bfs(g, x, r)
+                members, ends, tree, row_of = scan
+                order, layer = oracles._bfs_members(g, x, r)
+                assert members == order
+                assert ends == [0] + [sum(layer[v] <= s for v in order) for s in range(r + 1)]
+                assert tree == max(
+                    s for s in range(r + 1)
+                    if oracles._ball_from_members(
+                        g, order[: ends[s + 1]], s, layer, None, 0, None
+                    ).graph.edge_count() == ends[s + 1] - 1
+                )
+                ball = oracles._ball_from_members(g, order, r, layer, labels, width, colors)
+                got_rows, got_ends, got_labels, ups = balls._reindex(
+                    g, scan, labels, width, colors
+                )
+                assert [row_of[v] for v in members] == [list(a) for a in ball.graph.adjacency]
+                assert got_rows == ball.graph.adjacency and got_ends == ends
+                assert got_labels == ball.labels
+                if colors is None:
+                    assert ups is None
+                else:
+                    assert ups == tuple(
+                        tuple(ball.edge_colors[i, j] for j in row if j > i)
+                        for i, row in enumerate(ball.graph.adjacency)
+                    )
+
+
+def test_missing_colours_are_typed_on_both_paths():
+    # codes_at_radii alone does not check colour coverage; a missing colour
+    # used to end in a bare KeyError on the raw and on the form path
+    g = cycle(6)
+    all_but_23 = {e: 1 for e in g.edges() if e != (2, 3)}
+    # radius 2 is a tree ball; radius 3 closes the cycle, a raw-keyed ball
+    for colors, r, edge in (({}, 3, (0, 1)), (all_but_23, 3, (2, 3))):
+        with pytest.raises(FormatError, match=re.escape(f"edge {edge} has no colour")):
+            codes_at_radii(g, 0, (r,), edge_colors=colors)
+    for colors, edge in (({}, (1, 2)), (all_but_23, (2, 3))):
+        forms = balls.BranchForms(g, edge_colors=colors)
+        with pytest.raises(FormatError, match=re.escape(f"edge {edge} has no colour")):
+            codes_at_radii(g, 3, (2,), edge_colors=colors, forms=forms)
 
 
 # sha256 over the code bytes of the corpus below.  Persisted StatVector and
@@ -590,6 +641,9 @@ def test_unencodable_colours_and_label_widths_are_typed():
     # headers no writer emits: flag bit 2, and a label width without labels
     ("51010200040001010000", "flags 0x04"),
     ("51010200000101010000", "label width 1 but no labels"),
+    # the radius-2 path rooted at an end, numbered root, far end, middle:
+    # its code numbers it root, middle, far end (51020300000001010001020000)
+    ("51020300000001020001020000", "pendant trees in preorder"),
 ])
 def test_codes_no_ball_has_are_refused(hexcode, match):
     # each of these used to decode
