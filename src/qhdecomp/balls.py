@@ -732,6 +732,19 @@ def _serialize(key: tuple) -> bytes:
 def decode_code(code: bytes) -> RootedBall:
     """Reconstruct a RootedBall from its canonical code bytes.
 
+    Raises ``FormatError`` when ``_read_code`` refuses the bytes or they
+    are not ``canonical_code`` of the ball they describe, so every ball has
+    exactly one accepted byte string, its code."""
+    ball = _read_code(code)
+    if canonical_code(ball) != code:
+        raise FormatError("ball code does not number its core in canonical order and "
+                          "then its pendant trees in preorder of their forms")
+    return ball
+
+
+def _read_code(code: bytes) -> RootedBall:
+    """The ball that ``code`` writes out, canonical or not.
+
     Raises ``FormatError`` when the bytes are no ball's code: the header
     has no vertex, sets a flag bit above bit 1 or a label width without the
     label flag; a field runs past the end of the bytes, or bytes trail the
@@ -739,10 +752,9 @@ def decode_code(code: bytes) -> RootedBall:
     v < u < n (as every code lists them); a label sets a padding bit; a
     vertex lies beyond the radius from the root, vertex 0; or the bytes are
     not what ``_serialize`` writes for the ball's key in the decoded order
-    of its core.  So a tree ball has exactly one accepted byte string, its
-    code; a ball with a core of more than the root is also accepted in a
-    root-first order of its core other than the canonical one, which is
-    how the key table's first-leaf and ball-order keys write out."""
+    of its core.  A ball with a core of more than the root is accepted in
+    any root-first order of its core, which is how the key table's
+    first-leaf and ball-order keys write out."""
     if len(code) < 6 or code[0] != _TAG:
         raise FormatError("not a ball code")
     radius = code[1]

@@ -43,11 +43,19 @@ _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
 
+def _read_json(mw: reports.ManifestWriter, path: str):
+    """The JSON value in the input file ``path``."""
+    try:
+        return json.loads(mw.read(path))
+    except RecursionError:
+        raise FormatError(f"{path} nests JSON values too deeply to read")
+
+
 def _read_edge_colors(mw: reports.ManifestWriter, path: str,
                       g: graph.Graph) -> dict[tuple[int, int], int]:
     """The colors of an edge_coloring document that lists each edge of
     ``g`` exactly once, as ``u < v``, and no other pair."""
-    doc = json.loads(mw.read(path))
+    doc = _read_json(mw, path)
     colors = reports.edge_colors_from_json(doc)
     if len(colors) != len(doc["edges"]):
         raise FormatError(f"{path} lists an edge twice")
@@ -61,12 +69,17 @@ def _read_edge_colors(mw: reports.ManifestWriter, path: str,
 
 
 def _note_resolution(radius: int, delta: Fraction) -> None:
-    """A verdict at radius R rules out only subsets with d_s > delta + 2^-R;
-    say so on stderr when that tail is not below delta."""
+    """Say on stderr what a verdict at radius R leaves open when its tail
+    2^-R is not below delta.  A candidate is certified only when V_R, the
+    distance summed over radii 1..R, exceeds delta + 2^-R, and the full d_s
+    exceeds V_R by at most 2^-R; so an exact verdict without a witness rules
+    out only subsets with d_s > delta + 2 * 2^-R, and a heuristic one rules
+    out none."""
     tail = Fraction(1, 2 ** radius)
     if tail >= delta:
         print(f"note: tail 2^-{radius} = {tail} is not below delta = {delta}; "
-              f"without a witness, only subsets with d_s > {delta + tail} are ruled out",
+              f"without a witness, an exact verdict rules out only subsets with "
+              f"d_s > {delta + 2 * tail}, and a heuristic verdict rules out none",
               file=sys.stderr)
 
 
@@ -196,7 +209,7 @@ def main(argv=None) -> int:
 
 def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
     if args.spec:
-        doc = json.loads(mw.read(args.spec))
+        doc = _read_json(mw, args.spec)
         if isinstance(doc, dict) and doc.get("kind") == "family_specs":
             specs = reports.validate_document(doc)["specs"]
             if not specs:
@@ -230,8 +243,8 @@ def _cmd_stats(args, mw: reports.ManifestWriter) -> int:
 
 
 def _cmd_distance(args, mw: reports.ManifestWriter) -> int:
-    a = reports.stat_vector_from_json(json.loads(mw.read(args.a)))
-    b = reports.stat_vector_from_json(json.loads(mw.read(args.b)))
+    a = reports.stat_vector_from_json(_read_json(mw, args.a))
+    b = reports.stat_vector_from_json(_read_json(mw, args.b))
     value, tail = stats.d_s(a, b)
     print(f"d_s = {value} (~{float(value):.6g}), tail <= {tail}")
     mw.write(args.out, reports.distance_to_json(value, tail))
@@ -304,7 +317,7 @@ def _cmd_decompose(args, mw: reports.ManifestWriter) -> int:
 
 def _cmd_verify_partition(args, mw: reports.ManifestWriter) -> int:
     g = graph.from_edge_list(mw.read(args.input))
-    p = reports.partition_from_json(json.loads(mw.read(args.partition)))
+    p = reports.partition_from_json(_read_json(mw, args.partition))
     verdict = dec.verify_partition(
         g, p, args.delta, args.lam, args.epsilon, args.radius,
         args.mode, args.threshold_mode, args.budget, args.seed,
@@ -321,7 +334,7 @@ def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
     if len(args.inputs) != len(args.partitions):
         raise QhError("--inputs and --partitions must pair up")
     seq = [
-        (graph.from_edge_list(mw.read(gp)), reports.partition_from_json(json.loads(mw.read(pp))))
+        (graph.from_edge_list(mw.read(gp)), reports.partition_from_json(_read_json(mw, pp)))
         for gp, pp in zip(args.inputs, args.partitions)
     ]
     rep = dec.splitting_diagnostics(seq, args.radius)
@@ -331,7 +344,7 @@ def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
 
 
 def _cmd_convergence(args, mw: reports.ManifestWriter) -> int:
-    doc = reports.document_of_kind(json.loads(mw.read(args.specs)), "family_specs")
+    doc = reports.document_of_kind(_read_json(mw, args.specs), "family_specs")
     specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
     rep = families.sequence(specs, args.radius)
     mw.write(args.out, reports.convergence_to_json(rep))

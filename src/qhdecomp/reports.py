@@ -4,10 +4,12 @@ Every document carries ``format_version`` and ``kind`` and validates
 against a schema shipped under ``qhdecomp/schemas``; a test checks each
 shipped schema against its metaschema.  Each document is validated once on
 each side: ``write_json`` checks it before writing, and each reader checks
-what it reads.  Each kind's schema is compiled once into a checker that
-accepts exactly what ``jsonschema`` accepts.  ``jsonschema`` is imported
-only to word a rejection: it runs on a document the checker rejects, where
-it has the final say.  The ``*_to_json`` writers only build documents.
+what it reads.  Each kind's schema is compiled once into a checker, the
+only validator: it accepts exactly what a JSON Schema draft 2020-12
+validator accepts, and on a rejection returns the path and the schema
+keyword where it failed, from which ``validate_document`` words the error.
+The tests compare the checker with a reference validator.  The
+``*_to_json`` writers only build documents.
 Rationals are serialized as integer num/den pairs plus a convenience
 decimal string; the decimal is never read back.  A run manifest records
 every file the run reads or writes.
@@ -41,31 +43,40 @@ def _schema(kind: str) -> dict:
 
 
 @cache
-def _check(kind: str):
-    """The compiled checker of one document kind, built once."""
+def _kinds() -> frozenset:
+    """The document kinds with a shipped schema, listed once on first use."""
+    return frozenset(f.name.removesuffix(".schema.json")
+                     for f in resources.files("qhdecomp.schemas").iterdir()
+                     if f.name.endswith(".schema.json"))
+
+
+@cache
+def _checker(kind: str):
+    """The compiled checker of one document kind, built once
+    (``_compile_schema``)."""
     return _compile_schema(_schema(kind))
+
+
+@cache
+def _check(kind: str):
+    """``_checker(kind)`` as a predicate."""
+    checker = _checker(kind)
+    return lambda doc: checker(doc) is True
 
 
 def validate_document(doc: dict) -> dict:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str):
         raise FormatError("document missing 'kind'")
-    try:
-        check = _check(kind)
-    except FileNotFoundError:
+    if kind not in _kinds():
         raise FormatError(f"unknown document kind {kind!r}")
-    if check(doc):
+    fault = _checker(kind)(doc)
+    if fault is True:
         return doc
-    # jsonschema decides what the compiled check rejects, with the error
-    # jsonschema.validate would raise
-    from jsonschema.exceptions import best_match
-    from jsonschema.validators import validator_for
-
-    schema = _schema(kind)
-    error = best_match(validator_for(schema)(schema).iter_errors(doc))
-    if error is not None:
-        raise FormatError(f"invalid {kind} document: {error.message}")
-    return doc
+    where = "$" + "".join(
+        f".{step}" if isinstance(step, str) and step.isidentifier()
+        else f"[{step!r}]" for step in fault.path)
+    raise FormatError(f"invalid {kind} document: {where} fails {fault.keyword!r}")
 
 
 def document_of_kind(doc: dict, kind: str) -> dict:
@@ -99,27 +110,71 @@ _COMPILED = {
 }
 
 
+class _Fault:
+    """Where a compiled check rejected an instance: the path of keys and
+    indices from the instance to the rejected value, and the schema keyword
+    that failed there.  It is falsy, as a check's ``False`` is."""
+
+    __slots__ = ("path", "keyword")
+
+    def __init__(self, path: tuple, keyword):
+        self.path = path
+        self.keyword = keyword
+
+    def __bool__(self):
+        return False
+
+
+def _fault(result, keyword, *step) -> _Fault:
+    """The fault behind ``result``, a check's answer other than ``True``:
+    the ``_Fault`` it returned, or ``keyword`` failing at the value it was
+    given when it returned ``False``; ``step``, the key or index of that
+    value, starts the path."""
+    if isinstance(result, _Fault):
+        return _Fault(step + result.path, result.keyword)
+    return _Fault(step, keyword)
+
+
 def _compile_schema(schema):
-    """A predicate that accepts exactly the instances ``jsonschema``'s draft
-    2020-12 validator accepts.  It covers the keywords in ``_COMPILED``; a
+    """A check that returns ``True`` for exactly the instances a JSON
+    Schema draft 2020-12 validator accepts, and for any other instance a
+    ``_Fault``: the path and keyword of one of the errors such a validator
+    reports for it.  It covers the keywords in ``_COMPILED``; a
     schema with any other keyword raises ``ValueError`` here, so no keyword
     is ever silently ignored."""
-    return _compile(schema, schema, {})
+    return _placed(*_compile(schema, schema, {}))
+
+
+def _placed(keyword, check):
+    """``check`` answering a ``_Fault`` where it would answer ``False``."""
+
+    def placed(x):
+        result = check(x)
+        return result if result is True else _fault(result, keyword)
+
+    return placed
 
 
 def _compile(schema, root: dict, refs: dict):
+    """The check of ``schema`` and the keyword it names by ``False``: the
+    check returns ``True``, ``False`` when that keyword fails at the value
+    it was given, or a ``_Fault``.  The leaf checks return bools; a
+    combinator that sees a check answer other than ``True`` turns the
+    answer into a ``_Fault``."""
     if isinstance(schema, bool):
-        return (lambda x: True) if schema else (lambda x: False)
+        # the false schema fails under no keyword
+        return None, (lambda x: True) if schema else (lambda x: False)
     unknown = schema.keys() - _COMPILED
     if unknown:
         raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
-    checks = []
+    checks = []  # (keyword, check) pairs
     declared = None
     if "type" in schema:
         declared = schema["type"]
         declared = {declared} if isinstance(declared, str) else set(declared)
         tests = [_TYPES[t] for t in sorted(declared)]
-        checks.append(tests[0] if len(tests) == 1 else lambda x: any(t(x) for t in tests))
+        checks.append(("type", tests[0] if len(tests) == 1
+                       else lambda x: any(t(x) for t in tests)))
 
     def applies(types, guard, keyword_checks):
         # keyword checks see only values of their types, and other values
@@ -130,83 +185,121 @@ def _compile(schema, root: dict, refs: dict):
         if declared and declared <= types:
             checks.extend(keyword_checks)
         else:
-            body = _all(keyword_checks)
-            checks.append(lambda x: not guard(x) or body(x))
+            keyword, body = _all(keyword_checks)
+            checks.append((keyword, lambda x: not guard(x) or body(x)))
 
     if "const" in schema:
-        checks.append(_equals(schema["const"]))
+        checks.append(("const", _equals(schema["const"])))
     if "enum" in schema:
         options = [_equals(v) for v in schema["enum"]]
-        checks.append(lambda x: any(e(x) for e in options))
+        checks.append(("enum", lambda x: any(e(x) for e in options)))
     if "$ref" in schema:
-        checks.append(_ref(schema["$ref"], root, refs))
+        checks.append(("$ref", _ref(schema["$ref"], root, refs)))
     number = []
     if "minimum" in schema:
         low = schema["minimum"]
-        number.append(lambda x: not x < low)
+        number.append(("minimum", lambda x: not x < low))
     if "exclusiveMinimum" in schema:
         above = schema["exclusiveMinimum"]
-        number.append(lambda x: not x <= above)
+        number.append(("exclusiveMinimum", lambda x: not x <= above))
     applies({"integer", "number"}, _TYPES["number"], number)
     string = []
     if "pattern" in schema:
         search = re.compile(schema["pattern"]).search
-        string.append(lambda x: search(x) is not None)
+        string.append(("pattern", lambda x: search(x) is not None))
     applies({"string"}, _TYPES["string"], string)
     array = []
     if "minItems" in schema:
         min_items = schema["minItems"]
-        array.append(lambda x: not len(x) < min_items)
+        array.append(("minItems", lambda x: not len(x) < min_items))
     if "maxItems" in schema:
         max_items = schema["maxItems"]
-        array.append(lambda x: not len(x) > max_items)
+        array.append(("maxItems", lambda x: not len(x) > max_items))
     if "items" in schema:
-        item = _compile(schema["items"], root, refs)
-        array.append(lambda x: all(map(item, x)))
+        item_keyword, item = _compile(schema["items"], root, refs)
+
+        def each_item(x):
+            for value in x:
+                result = item(value)
+                if result is not True:
+                    # an item checked before is not this object, or it
+                    # would have failed there
+                    i = next(i for i, seen in enumerate(x) if seen is value)
+                    return _fault(result, item_keyword, i)
+            return True
+
+        array.append(("items", each_item))
     applies({"array"}, _TYPES["array"], array)
     obj = []
     if "required" in schema:
         required = frozenset(schema["required"])
-        obj.append(lambda x: x.keys() >= required)
+        obj.append(("required", lambda x: x.keys() >= required))
     properties = schema.get("properties", {})
     if properties:
-        props = [(k, _compile(sub, root, refs)) for k, sub in properties.items()]
+        compiled = {k: _compile(sub, root, refs) for k, sub in properties.items()}
+        props = [(k, check) for k, (_, check) in compiled.items()]
 
         def each_property(x):
             for k, check in props:
-                if k in x and not check(x[k]):
-                    return False
+                if k in x:
+                    result = check(x[k])
+                    if result is not True:
+                        return _fault(result, compiled[k][0], k)
             return True
 
-        obj.append(each_property)
-    if "additionalProperties" in schema:
-        extra = _compile(schema["additionalProperties"], root, refs)
-        obj.append(lambda x: all(extra(v) for k, v in x.items() if k not in properties))
+        obj.append(("properties", each_property))
+    if schema.get("additionalProperties") is False:
+        # the fault is the object's, not the surplus key's
+        named = properties.keys()
+        obj.append(("additionalProperties", lambda x: x.keys() <= named))
+    elif "additionalProperties" in schema:
+        extra_keyword, extra = _compile(schema["additionalProperties"], root, refs)
+
+        def each_extra(x):
+            for k, v in x.items():
+                if k not in properties:
+                    result = extra(v)
+                    if result is not True:
+                        return _fault(result, extra_keyword, k)
+            return True
+
+        obj.append(("additionalProperties", each_extra))
     applies({"object"}, _TYPES["object"], obj)
     return _all(checks)
 
 
 def _all(checks: list):
+    """The check of every (keyword, check) pair in ``checks``, in order, and
+    the keyword it names by ``False``."""
     if not checks:
-        return lambda x: True
+        return None, lambda x: True
     if len(checks) == 1:
         return checks[0]
     if len(checks) == 2:
-        first, second = checks
-        return lambda x: first(x) and second(x)
+        (first_keyword, first), (second_keyword, second) = checks
+
+        def both(x):
+            result = first(x) and second(x)
+            if result is False:
+                # a bool check failed; which one, running the first again tells
+                return _Fault((), first_keyword if first(x) is False else second_keyword)
+            return result
+
+        return None, both
 
     def every(x):
-        for check in checks:
-            if not check(x):
-                return False
+        for keyword, check in checks:
+            result = check(x)
+            if result is not True:
+                return _fault(result, keyword)
         return True
 
-    return every
+    return None, every
 
 
 def _equals(value):
-    """JSON equality with ``value`` as ``jsonschema`` decides it: ``True``
-    is not ``1`` and ``False`` is not ``0``, but ``1.0`` is ``1``."""
+    """JSON Schema equality with ``value``: ``True`` is not ``1`` and
+    ``False`` is not ``0``, but ``1.0`` is ``1``."""
     if value is None or isinstance(value, bool):
         return lambda x: x is value
     if isinstance(value, (str, int, float)):
@@ -224,7 +317,7 @@ def _ref(pointer: str, root: dict, refs: dict):
         target = root
         for part in pointer[1:].split("/")[1:]:
             target = target[part.replace("~1", "/").replace("~0", "~")]
-        refs[pointer] = _compile(target, root, refs)
+        refs[pointer] = _placed(*_compile(target, root, refs))
     return lambda x: refs[pointer](x)
 
 

@@ -191,6 +191,20 @@ def test_coarse_radius_is_noted_on_stderr(workdir, capsys):
             assert capsys.readouterr().err.count("note: tail 2^-") == notes, argv
 
 
+def test_resolution_note_states_what_a_verdict_rules_out(workdir, capsys):
+    # d_s exceeds V_R by up to 2^-R and a certificate needs V_R > delta + 2^-R,
+    # so an exact verdict rules out only d_s > delta + 2 * 2^-R; the note
+    # used to say delta + 2^-R (1/10 + 1/8 = 9/40 here)
+    g = workdir / "g.el"
+    main(["generate", "--kind", "cycle", "--params", "8", "--out", str(g)])
+    capsys.readouterr()
+    assert main(["check-quasihom", "--exact", "--input", str(g), "--delta", "1/10",
+                 "--lambda", "3/10", "--epsilon", "1/12", "--radius", "3"]) == 0
+    err = capsys.readouterr().err
+    assert "an exact verdict rules out only subsets with d_s > 7/20" in err
+    assert "a heuristic verdict rules out none" in err
+
+
 def test_decompose_verify_pipeline(workdir):
     spec = workdir / "spec.json"
     spec.write_text(json.dumps({
@@ -402,6 +416,16 @@ def test_exit_codes(workdir):
     # usage error: unknown subcommand (argparse exits 2)
     proc = run_cli(["definitely-not-a-command"], cwd=workdir)
     assert proc.returncode == 2
+
+
+def test_deeply_nested_json_exits_cleanly(workdir):
+    # json.loads ended in a RecursionError traceback
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli(["distance", "--a", str(deep), "--b", str(deep)], cwd=workdir)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: {deep} nests JSON values too deeply to read"]
 
 
 def _spoil_r3(doc):

@@ -4,8 +4,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
-import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema.validators import validator_for
@@ -71,8 +71,7 @@ def _broken(doc):
             nested = copy.deepcopy(doc)
             nested[key][0] = None
             yield nested
-            # two faults: the reported one is jsonschema's best match, not
-            # the first one found
+            # two faults: the reported one is one of jsonschema's errors
             for other in sorted(doc):
                 if other not in (key, "kind"):
                     both = copy.deepcopy(nested)
@@ -80,18 +79,28 @@ def _broken(doc):
                     yield both
 
 
+def _assert_names_an_error(kind, bad, errors):
+    """The checker's fault for a rejected document is the path and keyword
+    of one of jsonschema's ``errors`` for it, and ``validate_document``'s
+    message names that path."""
+    fault = reports._checker(kind)(bad)
+    paths = {(tuple(e.absolute_path), e.validator): e.json_path for e in errors}
+    assert (fault.path, fault.keyword) in paths, (bad, fault.path, fault.keyword)
+    with pytest.raises(FormatError) as got:
+        reports.validate_document(bad)
+    where = paths[fault.path, fault.keyword]
+    assert str(got.value) == f"invalid {kind} document: {where} fails {fault.keyword!r}"
+
+
 def test_validation_errors_match_jsonschema_validate():
     checked = 0
     for doc in _documents():
         assert reports.validate_document(doc) is doc
-        schema = reports._schema(doc["kind"])
+        validator = _reference(doc["kind"])
         for bad in _broken(doc):
-            try:
-                jsonschema.validate(bad, schema)
-            except jsonschema.ValidationError as want:
-                with pytest.raises(FormatError) as got:
-                    reports.validate_document(bad)
-                assert str(got.value) == f"invalid {doc['kind']} document: {want.message}"
+            errors = list(validator.iter_errors(bad))
+            if errors:
+                _assert_names_an_error(doc["kind"], bad, errors)
                 checked += 1
             else:
                 assert reports.validate_document(bad) is bad
@@ -172,16 +181,50 @@ def test_shipped_schema_is_valid(kind):
 
 
 def test_accept_path_leaves_jsonschema_unimported(tmp_path):
-    # jsonschema only words a rejection, so accepting a document never
-    # imports it
+    # the compiled checker is the only validator: accepting a document,
+    # rejecting one and running the CLI never import jsonschema
     src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
-    code = ("import sys; from fractions import Fraction; from qhdecomp import reports; "
-            "reports.validate_document(reports.distance_to_json(Fraction(1, 3), Fraction(1, 4))); "
-            "print('jsonschema' in sys.modules)")
+    code = "\n".join([
+        "import sys",
+        "from fractions import Fraction",
+        "from qhdecomp import reports",
+        "from qhdecomp.cli import main",
+        "from qhdecomp.errors import FormatError",
+        "doc = reports.distance_to_json(Fraction(1, 3), Fraction(1, 4))",
+        "reports.validate_document(doc)",
+        "del doc['tail']",
+        "try:",
+        "    reports.validate_document(doc)",
+        "    sys.exit('a document without its tail was accepted')",
+        "except FormatError:",
+        "    pass",
+        "assert main(['generate', '--kind', 'cycle', '--params', '6', '--out', 'c.el']) == 0",
+        "assert main(['stats', '--input', 'c.el', '--radius', '2', '--out', 's.json']) == 0",
+        "assert main(['distance', '--a', 's.json', '--b', 's.json']) == 0",
+        "print('jsonschema' in sys.modules)",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []
+    assert "jsonschema>=4.0" in project["optional-dependencies"]["test"]
+
+
+def test_unknown_kinds_are_refused_before_any_schema_is_read(tmp_path):
+    # a kind was read as a file name under the schemas package, so "../"
+    # in it compiled and applied any schema file on the machine
+    (tmp_path / "evil.schema.json").write_text('{"type": "object"}')
+    kind = os.path.relpath(tmp_path / "evil", str(resources.files("qhdecomp.schemas")))
+    assert kind.startswith("..")
+    with pytest.raises(FormatError, match="unknown document kind"):
+        reports.validate_document({"kind": kind, "anything": 1})
 
 
 def test_manifest_records_reads_and_writes(tmp_path):
@@ -289,6 +332,24 @@ def test_compiled_checker_agrees_with_jsonschema(tmp_path):
 
     agree()
     assert outcomes.count(True) > 40 and outcomes.count(False) > 40
+
+
+def test_rejections_name_one_of_jsonschemas_errors(tmp_path):
+    corpus = list(_writer_corpus(tmp_path))
+    references = {kind: _reference(kind) for kind in _KINDS}
+    rejected = set()
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(_mutants(corpus))
+    def names_an_error(mutant):
+        kind, doc = mutant
+        errors = list(references[kind].iter_errors(doc))
+        if errors and doc.get("kind") == kind:
+            _assert_names_an_error(kind, doc, errors)
+            rejected.add(kind)
+
+    names_an_error()
+    assert len(rejected) > 10
 
 
 def test_compiler_refuses_uncovered_keywords():
