@@ -413,8 +413,13 @@ def canonical_code(ball: RootedBall, known: dict | None = None) -> bytes:
         raise FormatError("ball too large to encode")
     if ball.radius > 0xFF:
         raise FormatError("radius too large to encode")
-    if ball.labels is not None and not 0 <= ball.label_width <= 0xFF:
-        raise FormatError(f"label width {ball.label_width} outside 0..255")
+    labels = ball.labels
+    if labels is not None:
+        if not 0 <= ball.label_width <= 0xFF:
+            raise FormatError(f"label width {ball.label_width} outside 0..255")
+        if labels and not 0 <= min(labels) <= max(labels) < 1 << ball.label_width:
+            raise FormatError(f"ball labels must lie in 0..{(1 << ball.label_width) - 1} "
+                              f"to encode at width {ball.label_width}")
     colors = ball.edge_colors
     if colors and not 0 <= min(colors.values()) <= max(colors.values()) <= 0xFFFF:
         raise FormatError("edge colours must lie in 0..65535 to encode")

@@ -67,13 +67,11 @@ class FamilySpec:
         *params, bridges, seed = map(int, numbers)
         if bridges < 0:
             raise FormatError(f"family spec with negative bridges {bridges}")
-        return FamilySpec(
-            kind=doc["kind"],
-            params=tuple(params),
-            parts=tuple(FamilySpec.from_json(p) for p in parts),
-            bridges=bridges,
-            seed=seed,
-        )
+        try:
+            parts = tuple(FamilySpec.from_json(p) for p in parts)
+        except RecursionError:
+            raise FormatError("family spec nested too deeply to read") from None
+        return FamilySpec(doc["kind"], tuple(params), parts, bridges, seed)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,10 @@ class GeneratedGraph:
 
 
 def generate(spec: FamilySpec) -> Graph:
-    return generate_detailed(spec).graph
+    try:
+        return generate_detailed(spec).graph
+    except RecursionError:
+        raise InfeasibleSpecError(f"{spec.kind} spec nested too deeply to generate") from None
 
 
 def generate_detailed(spec: FamilySpec) -> GeneratedGraph:

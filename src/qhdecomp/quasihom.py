@@ -21,8 +21,8 @@ from random import Random
 from . import balls
 from .errors import EmptyGraphError, TooLargeForExactError
 from .graph import Graph, boundary_edge_count, connected_components, spanned_subgraph
+from .stats import ds_value
 from .stats import stat_vector  # noqa: F401  (the benchmark's tracer patches this name)
-from .stats import tv_numerator
 
 EXHAUSTIVE_CAP = 20
 # subset evaluators kept for the most recent (graph, R) pairs, so the
@@ -153,15 +153,15 @@ class _SubsetEvaluator:
                     codes = self.local[v, seen] = tuple(found.values())
             tally[codes] = tally.get(codes, 0) + 1
 
-        # d_s = sum_r 2^-r * TV_r, with TV_r = tv_numerator / (2*n*m)
-        n, m = self.g.n, len(subset)
-        num = 0
-        for i, whole in enumerate(self.base_counts):
+        items = tally.items()
+        parts = []
+        for i in range(self.R):
             part: dict[bytes, int] = {}
-            for codes, count in tally.items():
-                part[codes[i]] = part.get(codes[i], 0) + count
-            num += tv_numerator(whole, n, part, m) << (self.R - 1 - i)
-        return Fraction(num, (2 * n * m) << self.R)
+            for codes, count in items:
+                code = codes[i]
+                part[code] = part.get(code, 0) + count
+            parts.append(part)
+        return ds_value(self.base_counts, self.g.n, parts, len(subset))
 
 
 @lru_cache(maxsize=_EVALUATOR_MEMO)

@@ -70,7 +70,10 @@ def validate_document(doc: dict) -> dict:
         raise FormatError("document missing 'kind'")
     if kind not in _kinds():
         raise FormatError(f"unknown document kind {kind!r}")
-    fault = _checker(kind)(doc)
+    try:
+        fault = _checker(kind)(doc)
+    except RecursionError:
+        raise FormatError(f"{kind} document nests values too deeply to check") from None
     if fault is True:
         return doc
     where = "$" + "".join(
@@ -365,7 +368,7 @@ def stat_vector_from_json(doc: dict) -> StatVector:
         }
         if len(dist) != len(entries):
             raise FormatError(f"stat_vector layer r = {r} lists a code twice")
-        counts, common = integer_counts(dist)
+        (counts,), common = integer_counts([dist])
         total = sum(counts.values())
         if total != common:
             raise FormatError(f"stat_vector layer r = {r} frequencies sum to "

@@ -11,18 +11,18 @@ distributions.  Radii beyond R contribute at most 2^{-R} in total, which
 is returned as a certified tail bound.  All arithmetic is exact.
 
 Every total-variation distance in the package is ``tv_numerator`` over
-integer counts: a StatVector layer is put over its common denominator by
-``integer_counts``, and the subset evaluator and the partition engine
-count codes as integers to begin with.
+integer counts, and ``ds_value`` is the one sum of them over radii: ``d_s``
+puts a StatVector's layers over one common denominator with
+``integer_counts``, and the subset evaluator counts codes as integers to
+begin with.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
 
 from . import balls
 from .errors import (
@@ -80,26 +80,29 @@ def tv_numerator(a: dict, ta: int, b: dict, tb: int) -> int:
     return acc + sum(y for c, y in b.items() if c not in a) * ta
 
 
-def integer_counts(p: dict[bytes, Fraction]) -> tuple[dict[bytes, int], int]:
-    """Integer counts and their common denominator ``t``, with
-    ``p[c] == counts[c] / t``; an lcm instead of a gcd per term."""
-    t = math.lcm(*(f.denominator for f in p.values()))
-    return {c: f.numerator * (t // f.denominator) for c, f in p.items()}, t
+def integer_counts(layers) -> tuple[list[dict[bytes, int]], int]:
+    """Integer counts of each distribution in ``layers`` and their one
+    common denominator ``t``, with ``layers[i][c] == counts[i][c] / t``; an
+    lcm instead of a gcd per term."""
+    t = math.lcm(*(f.denominator for p in layers for f in p.values()))
+    return [{c: f.numerator * (t // f.denominator) for c, f in p.items()} for p in layers], t
 
 
-def total_variation(p: dict[bytes, Fraction], q: dict[bytes, Fraction]) -> Fraction:
-    (a, ta), (b, tb) = integer_counts(p), integer_counts(q)
-    return Fraction(tv_numerator(a, ta, b, tb), 2 * ta * tb)
+def ds_value(a: list, ta: int, b: list, tb: int) -> Fraction:
+    """``sum_r 2^-r * TV_r`` between the radius-r counts ``a[r-1]`` and
+    ``b[r-1]``, where every layer of ``a`` totals ``ta`` and every layer of
+    ``b`` totals ``tb``; TV_r is ``tv_numerator / (2*ta*tb)``."""
+    num = 0
+    for x, y in zip(a, b):
+        num = (num << 1) + tv_numerator(x, ta, y, tb)
+    return Fraction(num, (2 * ta * tb) << len(a))
 
 
 def d_s(a: StatVector, b: StatVector) -> tuple[Fraction, Fraction]:
     """Distance value and the tail bound covering all radii beyond R."""
     if a.R != b.R:
         raise RadiusMismatchError(f"mismatched radii: {a.R} vs {b.R}")
-    value = Fraction(0)
-    for r in range(1, a.R + 1):
-        value += Fraction(1, 2 ** r) * total_variation(a.at(r), b.at(r))
-    return value, Fraction(1, 2 ** a.R)
+    return ds_value(*integer_counts(a.radii), *integer_counts(b.radii)), Fraction(1, 2 ** a.R)
 
 
 def mixture(parts: list[tuple[Fraction, StatVector]]) -> StatVector:
@@ -222,78 +225,3 @@ def stability_ds_bound(d: int, k: int, n: int, R: int) -> Fraction:
     for r in range(1, R + 1):
         acc += Fraction(1, 2 ** r) * changed_fraction_bound(d, r, k, n)
     return acc + Fraction(1, 2 ** R)
-
-
-@dataclass
-class ConvexityReport:
-    samples: int
-    all_hold: bool
-    max_combination_ratio: Fraction | None
-    max_hull_ratio: Fraction | None
-    diameter: Fraction
-    failures: int = 0
-    violations: list = field(default_factory=list)
-
-
-def convexity_check(
-    vectors: list[StatVector],
-    w: StatVector,
-    samples: int = 100,
-    seed: int = 0,
-) -> ConvexityReport:
-    """Sampled verification of the convex-combination inequality
-
-        d_s(sum_i l_i v_i, w) <= sum_i l_i d_s(v_i, w)
-
-    and of the hull-diameter bound diam(hull) <= 3 diam(T) for random
-    rational convex combinations.  Ratios are reported exactly.
-    """
-    if not vectors:
-        raise WeightSumError("empty vector set")
-    rng = Random(seed)
-    m = len(vectors)
-    diam = Fraction(0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            diam = max(diam, d_s(vectors[i], vectors[j])[0])
-
-    def random_weights():
-        raw = [rng.randint(0, 100) for _ in range(m)]
-        if sum(raw) == 0:
-            raw[rng.randrange(m)] = 1
-        total = sum(raw)
-        return [Fraction(x, total) for x in raw]
-
-    all_hold = True
-    failures = 0
-    violations = []
-    max_combo: Fraction | None = None
-    max_hull: Fraction | None = None
-    prev_mix: StatVector | None = None
-    for _ in range(samples):
-        lam = random_weights()
-        mix = mixture(list(zip(lam, vectors)))
-        lhs = d_s(mix, w)[0]
-        rhs = sum(
-            (l * d_s(v, w)[0] for l, v in zip(lam, vectors)), Fraction(0)
-        )
-        if lhs > rhs:
-            all_hold = False
-            failures += 1
-            violations.append(("combination", lam))
-        if rhs > 0:
-            ratio = lhs / rhs
-            if max_combo is None or ratio > max_combo:
-                max_combo = ratio
-        if prev_mix is not None:
-            hull_dist = d_s(mix, prev_mix)[0]
-            if hull_dist > 3 * diam:
-                all_hold = False
-                failures += 1
-                violations.append(("hull", lam))
-            if diam > 0:
-                ratio = hull_dist / diam
-                if max_hull is None or ratio > max_hull:
-                    max_hull = ratio
-        prev_mix = mix
-    return ConvexityReport(samples, all_hold, max_combo, max_hull, diam, failures, violations)

@@ -621,6 +621,12 @@ def test_unencodable_colours_and_label_widths_are_typed():
         stat_vector(g, 1, labels=[1, 2, 3], label_width=300)
     assert stat_vector(g, 1, labels=[1, 2, 3], label_width=255).R == 1
     assert stat_vector(g, 1, edge_colors={(0, 1): 0, (0, 2): 0xFFFF, (1, 2): 2}).R == 1
+    # ball labels that do not fit their width used to end in a bare
+    # OverflowError from int.to_bytes
+    for labels, width in (((300, 1), 8), ((9, 1), 3), ((-1, 1), 3), ((1, 0), 0)):
+        with pytest.raises(FormatError, match=f"to encode at width {width}"):
+            canonical_code(RootedBall(path(2), 1, labels, width))
+    assert canonical_code(RootedBall(path(2), 1, (255, 0), 8))
     # malformed codes: the first two used to raise a bare IndexError, the
     # third (vertex 0 its own upper neighbour) decoded to a self-loop
     for hexcode, match in (("510105000000", "truncated"),

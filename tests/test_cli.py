@@ -170,7 +170,7 @@ def test_exact_verdict_runs_without_numpy(workdir):
 
 
 def test_coarse_radius_is_noted_on_stderr(workdir, capsys):
-    # a verdict at radius R rules out only subsets with d_s > delta + 2^-R;
+    # a verdict at radius R rules out only subsets with d_s > delta + 2 * 2^-R;
     # the three verdict commands say so once when 2^-R >= delta
     g = workdir / "g.el"
     main(["generate", "--kind", "cycle", "--params", "12", "--out", str(g)])
@@ -426,6 +426,34 @@ def test_deeply_nested_json_exits_cleanly(workdir):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [f"error: {deep} nests JSON values too deeply to read"]
+
+
+def test_deeply_nested_specs_exit_cleanly(workdir):
+    # json.loads reads these depths, but the schema checker, from_json and
+    # generate then ended in a RecursionError traceback
+    cycle3 = workdir / "c3.el"
+    assert main(["generate", "--kind", "cycle", "--params", "3", "--out", str(cycle3)]) == 0
+    for depth in (200, 400):
+        spec = '{"kind": "cycle", "params": [3]}'
+        for _ in range(depth):
+            spec = '{"kind": "disjoint_union", "parts": [' + spec + ']}'
+        bare, doc = workdir / f"bare{depth}.json", workdir / f"doc{depth}.json"
+        bare.write_text(spec)
+        doc.write_text('{"format_version": 1, "kind": "family_specs", "specs": [' + spec
+                       + ', {"kind": "cycle", "params": [4]}]}')
+        out = workdir / f"g{depth}.el"
+        for argv, code in (
+            (["convergence", "--specs", str(doc), "--radius", "1", "--out", str(workdir / "c.json")], 1),
+            (["generate", "--spec", str(doc), "--out", str(out)], 1),
+            (["generate", "--spec", str(bare), "--out", str(out)], 0 if depth == 200 else 1),
+        ):
+            proc = run_cli(argv, cwd=workdir)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            if code:
+                assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+            else:
+                assert out.read_text() == cycle3.read_text()
 
 
 def _spoil_r3(doc):

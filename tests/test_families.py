@@ -88,6 +88,15 @@ def test_infeasible_specs():
                  "bridges": -1}):
         with pytest.raises(FormatError):
             FamilySpec.from_json(doc)
+    # nesting past the interpreter's recursion limit is a typed refusal
+    doc, deep = {"kind": "cycle", "params": [3]}, FamilySpec("cycle", (3,))
+    for _ in range(3000):
+        doc = {"kind": "disjoint_union", "parts": [doc]}
+        deep = FamilySpec("disjoint_union", parts=(deep,))
+    with pytest.raises(FormatError, match="nested too deeply"):
+        FamilySpec.from_json(doc)
+    with pytest.raises(InfeasibleSpecError, match="nested too deeply"):
+        generate(deep)
     # an integral float is an integer, as the family_specs schema reads it
     six = FamilySpec.from_json({"kind": "cycle", "params": [6.0]})
     assert six == FamilySpec("cycle", (6,)) and type(six.params[0]) is int

@@ -1,3 +1,4 @@
+import ast
 import copy
 import json
 import os
@@ -215,6 +216,31 @@ def test_no_runtime_dependency():
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
     assert "jsonschema>=4.0" in project["optional-dependencies"]["test"]
+
+
+def test_no_unused_imports_in_src():
+    # an imported name its module never reads is left over from a deletion;
+    # a "# noqa: F401" import is kept on purpose, and __all__ re-exports
+    unused = []
+    for source in sorted(Path(qhdecomp.__file__).parent.glob("*.py")):
+        text = source.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [t.id for t in node.targets]:
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{source.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_unknown_kinds_are_refused_before_any_schema_is_read(tmp_path):
