@@ -4,12 +4,13 @@ Every document carries ``format_version`` and ``kind`` and validates
 against a schema shipped under ``qhdecomp/schemas``; a test checks each
 shipped schema against its metaschema.  Each document is validated once on
 each side: ``write_json`` checks it before writing, and each reader checks
-what it reads.  Each kind's schema is compiled once into a checker, the
-only validator: it accepts exactly what a JSON Schema draft 2020-12
-validator accepts, and on a rejection returns the path and the schema
-keyword where it failed, from which ``validate_document`` words the error.
-The tests compare the checker with a reference validator.  The
-``*_to_json`` writers only build documents.
+what it reads.  The only validator is ``_fault``, one function that walks a
+kind's schema alongside the document: it accepts exactly what a JSON
+Schema draft 2020-12 validator accepts, and on a rejection returns the path
+and the schema keyword where it failed, from which ``validate_document``
+words the error.  A schema is checked once when it is loaded, so it uses no
+keyword the walk does not cover.  The tests compare the walk with a
+reference validator.  The ``*_to_json`` writers only build documents.
 Rationals are serialized as integer num/den pairs plus a convenience
 decimal string; the decimal is never read back.  A run manifest records
 every file the run reads or writes.
@@ -25,6 +26,8 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 
+from . import __version__
+from .balls import decode_code
 from .coloring import EdgeColoring, VertexColoring
 from .decomposer import Partition, PartitionVerdict, SplittingReport
 from .errors import FormatError
@@ -36,10 +39,12 @@ FORMAT_VERSION = 1
 
 @cache
 def _schema(kind: str) -> dict:
-    """The schema of one document kind, read once and shared: callers must
-    not change it."""
+    """The schema of one document kind, read and checked once
+    (``_refuse_uncovered``) and shared: callers must not change it."""
     ref = resources.files("qhdecomp.schemas").joinpath(f"{kind}.schema.json")
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    _refuse_uncovered(schema)
+    return schema
 
 
 @cache
@@ -50,36 +55,24 @@ def _kinds() -> frozenset:
                      if f.name.endswith(".schema.json"))
 
 
-@cache
-def _checker(kind: str):
-    """The compiled checker of one document kind, built once
-    (``_compile_schema``)."""
-    return _compile_schema(_schema(kind))
-
-
-@cache
-def _check(kind: str):
-    """``_checker(kind)`` as a predicate."""
-    checker = _checker(kind)
-    return lambda doc: checker(doc) is True
-
-
 def validate_document(doc: dict) -> dict:
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if not isinstance(kind, str):
         raise FormatError("document missing 'kind'")
     if kind not in _kinds():
         raise FormatError(f"unknown document kind {kind!r}")
+    schema = _schema(kind)
     try:
-        fault = _checker(kind)(doc)
+        fault = _fault(schema, doc, schema)
     except RecursionError:
         raise FormatError(f"{kind} document nests values too deeply to check") from None
-    if fault is True:
+    if fault is None:
         return doc
+    keyword, path = fault
     where = "$" + "".join(
         f".{step}" if isinstance(step, str) and step.isidentifier()
-        else f"[{step!r}]" for step in fault.path)
-    raise FormatError(f"invalid {kind} document: {where} fails {fault.keyword!r}")
+        else f"[{step!r}]" for step in path)
+    raise FormatError(f"invalid {kind} document: {where} fails {keyword!r}")
 
 
 def document_of_kind(doc: dict, kind: str) -> dict:
@@ -90,7 +83,7 @@ def document_of_kind(doc: dict, kind: str) -> dict:
     return validate_document(doc)
 
 
-# --- the compiled checker -----------------------------------------------------
+# --- the schema checker -------------------------------------------------------
 
 # draft 2020-12 types; bool is no integer or number, and 1.0 is an integer
 _TYPES = {
@@ -99,229 +92,103 @@ _TYPES = {
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
     "null": lambda x: x is None,
-    "integer": lambda x: type(x) is int or not isinstance(x, bool) and (
-        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
-    "number": lambda x: type(x) is int or type(x) is float or not isinstance(x, bool)
-    and isinstance(x, numbers.Number),
+    "integer": lambda x: type(x) is int or isinstance(x, float) and x.is_integer()
+    or isinstance(x, int) and not isinstance(x, bool),
+    "number": lambda x: type(x) is int or type(x) is float
+    or isinstance(x, numbers.Number) and not isinstance(x, bool),
 }
-# the keywords of the shipped schemas; "$schema", "title" and "$defs" add
-# no check of their own
-_COMPILED = {
+# the keywords _fault checks; "$schema", "title" and "$defs" add no check
+_KEYWORDS = {
     "$schema", "title", "$defs", "type", "const", "enum", "$ref", "minimum",
     "exclusiveMinimum", "pattern", "minItems", "maxItems", "items", "required",
     "properties", "additionalProperties",
 }
+_regex = cache(re.compile)  # a pattern's compiled regex, looked up in C
 
 
-class _Fault:
-    """Where a compiled check rejected an instance: the path of keys and
-    indices from the instance to the rejected value, and the schema keyword
-    that failed there.  It is falsy, as a check's ``False`` is."""
-
-    __slots__ = ("path", "keyword")
-
-    def __init__(self, path: tuple, keyword):
-        self.path = path
-        self.keyword = keyword
-
-    def __bool__(self):
-        return False
-
-
-def _fault(result, keyword, *step) -> _Fault:
-    """The fault behind ``result``, a check's answer other than ``True``:
-    the ``_Fault`` it returned, or ``keyword`` failing at the value it was
-    given when it returned ``False``; ``step``, the key or index of that
-    value, starts the path."""
-    if isinstance(result, _Fault):
-        return _Fault(step + result.path, result.keyword)
-    return _Fault(step, keyword)
-
-
-def _compile_schema(schema):
-    """A check that returns ``True`` for exactly the instances a JSON
-    Schema draft 2020-12 validator accepts, and for any other instance a
-    ``_Fault``: the path and keyword of one of the errors such a validator
-    reports for it.  It covers the keywords in ``_COMPILED``; a
-    schema with any other keyword raises ``ValueError`` here, so no keyword
-    is ever silently ignored."""
-    return _placed(*_compile(schema, schema, {}))
-
-
-def _placed(keyword, check):
-    """``check`` answering a ``_Fault`` where it would answer ``False``."""
-
-    def placed(x):
-        result = check(x)
-        return result if result is True else _fault(result, keyword)
-
-    return placed
-
-
-def _compile(schema, root: dict, refs: dict):
-    """The check of ``schema`` and the keyword it names by ``False``: the
-    check returns ``True``, ``False`` when that keyword fails at the value
-    it was given, or a ``_Fault``.  The leaf checks return bools; a
-    combinator that sees a check answer other than ``True`` turns the
-    answer into a ``_Fault``."""
-    if isinstance(schema, bool):
-        # the false schema fails under no keyword
-        return None, (lambda x: True) if schema else (lambda x: False)
-    unknown = schema.keys() - _COMPILED
-    if unknown:
-        raise ValueError(f"no compiled check for schema keywords {sorted(unknown)}")
-    checks = []  # (keyword, check) pairs
-    declared = None
-    if "type" in schema:
-        declared = schema["type"]
-        declared = {declared} if isinstance(declared, str) else set(declared)
-        tests = [_TYPES[t] for t in sorted(declared)]
-        checks.append(("type", tests[0] if len(tests) == 1
-                       else lambda x: any(t(x) for t in tests)))
-
-    def applies(types, guard, keyword_checks):
-        # keyword checks see only values of their types, and other values
-        # pass them; after a type check that admits no other type, they
-        # need no guard of their own
-        if not keyword_checks:
-            return
-        if declared and declared <= types:
-            checks.extend(keyword_checks)
-        else:
-            keyword, body = _all(keyword_checks)
-            checks.append((keyword, lambda x: not guard(x) or body(x)))
-
-    if "const" in schema:
-        checks.append(("const", _equals(schema["const"])))
-    if "enum" in schema:
-        options = [_equals(v) for v in schema["enum"]]
-        checks.append(("enum", lambda x: any(e(x) for e in options)))
-    if "$ref" in schema:
-        checks.append(("$ref", _ref(schema["$ref"], root, refs)))
-    number = []
-    if "minimum" in schema:
-        low = schema["minimum"]
-        number.append(("minimum", lambda x: not x < low))
-    if "exclusiveMinimum" in schema:
-        above = schema["exclusiveMinimum"]
-        number.append(("exclusiveMinimum", lambda x: not x <= above))
-    applies({"integer", "number"}, _TYPES["number"], number)
-    string = []
-    if "pattern" in schema:
-        search = re.compile(schema["pattern"]).search
-        string.append(("pattern", lambda x: search(x) is not None))
-    applies({"string"}, _TYPES["string"], string)
-    array = []
-    if "minItems" in schema:
-        min_items = schema["minItems"]
-        array.append(("minItems", lambda x: not len(x) < min_items))
-    if "maxItems" in schema:
-        max_items = schema["maxItems"]
-        array.append(("maxItems", lambda x: not len(x) > max_items))
-    if "items" in schema:
-        item_keyword, item = _compile(schema["items"], root, refs)
-
-        def each_item(x):
-            for value in x:
-                result = item(value)
-                if result is not True:
-                    # an item checked before is not this object, or it
-                    # would have failed there
-                    i = next(i for i, seen in enumerate(x) if seen is value)
-                    return _fault(result, item_keyword, i)
-            return True
-
-        array.append(("items", each_item))
-    applies({"array"}, _TYPES["array"], array)
-    obj = []
-    if "required" in schema:
-        required = frozenset(schema["required"])
-        obj.append(("required", lambda x: x.keys() >= required))
-    properties = schema.get("properties", {})
-    if properties:
-        compiled = {k: _compile(sub, root, refs) for k, sub in properties.items()}
-        props = [(k, check) for k, (_, check) in compiled.items()]
-
-        def each_property(x):
-            for k, check in props:
-                if k in x:
-                    result = check(x[k])
-                    if result is not True:
-                        return _fault(result, compiled[k][0], k)
-            return True
-
-        obj.append(("properties", each_property))
-    if schema.get("additionalProperties") is False:
-        # the fault is the object's, not the surplus key's
-        named = properties.keys()
-        obj.append(("additionalProperties", lambda x: x.keys() <= named))
-    elif "additionalProperties" in schema:
-        extra_keyword, extra = _compile(schema["additionalProperties"], root, refs)
-
-        def each_extra(x):
-            for k, v in x.items():
-                if k not in properties:
-                    result = extra(v)
-                    if result is not True:
-                        return _fault(result, extra_keyword, k)
-            return True
-
-        obj.append(("additionalProperties", each_extra))
-    applies({"object"}, _TYPES["object"], obj)
-    return _all(checks)
-
-
-def _all(checks: list):
-    """The check of every (keyword, check) pair in ``checks``, in order, and
-    the keyword it names by ``False``."""
-    if not checks:
-        return None, lambda x: True
-    if len(checks) == 1:
-        return checks[0]
-    if len(checks) == 2:
-        (first_keyword, first), (second_keyword, second) = checks
-
-        def both(x):
-            result = first(x) and second(x)
-            if result is False:
-                # a bool check failed; which one, running the first again tells
-                return _Fault((), first_keyword if first(x) is False else second_keyword)
-            return result
-
-        return None, both
-
-    def every(x):
-        for keyword, check in checks:
-            result = check(x)
-            if result is not True:
-                return _fault(result, keyword)
-        return True
-
-    return None, every
-
-
-def _equals(value):
-    """JSON Schema equality with ``value``: ``True`` is not ``1`` and
-    ``False`` is not ``0``, but ``1.0`` is ``1``."""
-    if value is None or isinstance(value, bool):
-        return lambda x: x is value
-    if isinstance(value, (str, int, float)):
-        return lambda x: x is not True and x is not False and x == value
-    raise ValueError(f"no compiled check for const or enum value {value!r}")
-
-
-def _ref(pointer: str, root: dict, refs: dict):
-    """A check that looks the target up when it runs, so a schema may refer
-    to itself."""
-    if not pointer.startswith("#"):
-        raise ValueError(f"no compiled check for $ref {pointer!r} outside the schema")
-    if pointer not in refs:
-        refs[pointer] = None  # compiling; a reference back to it resolves later
-        target = root
+def _fault(schema, x, root: dict):
+    """``None`` when ``x`` passes ``schema``, a subschema of ``root``, as a
+    JSON Schema draft 2020-12 validator judges it; otherwise one of the
+    errors such a validator reports: the keyword that fails and the path of
+    keys and indices from ``x`` to the value where it fails.  Each keyword
+    judges only values of its own type and passes any other value."""
+    while True:
+        if isinstance(schema, bool):
+            return None if schema else (None, ())
+        for keyword, value in schema.items():
+            # the leaves of a document come first: they are checked most
+            if keyword == "type":
+                ok = (_TYPES[value](x) if isinstance(value, str)
+                      else any(_TYPES[t](x) for t in value))
+            elif keyword == "minimum":
+                ok = not _TYPES["number"](x) or not x < value
+            elif keyword == "exclusiveMinimum":
+                ok = not _TYPES["number"](x) or not x <= value
+            elif keyword == "pattern":
+                ok = not isinstance(x, str) or _regex(value).search(x) is not None
+            elif keyword == "properties":
+                if isinstance(x, dict):
+                    for k, sub in value.items():
+                        if k in x and (fault := _fault(sub, x[k], root)):
+                            return fault[0], (k, *fault[1])
+                continue
+            elif keyword == "required":
+                ok = not isinstance(x, dict) or all(map(x.__contains__, value))
+            elif keyword == "items":
+                if isinstance(x, list):
+                    for i, item in enumerate(x):
+                        if fault := _fault(value, item, root):
+                            return fault[0], (i, *fault[1])
+                continue
+            elif keyword in ("const", "enum"):
+                # True is not 1 and False is not 0, but 1.0 is 1
+                ok = any(x == v and isinstance(x, bool) == isinstance(v, bool)
+                         for v in ((value,) if keyword == "const" else value))
+            elif keyword in ("minItems", "maxItems"):
+                ok = not isinstance(x, list) or not (
+                    len(x) < value if keyword == "minItems" else len(x) > value)
+            elif keyword == "additionalProperties":
+                named = schema.get("properties", {})
+                extra = [k for k in x if k not in named] if isinstance(x, dict) else []
+                if value is not False:
+                    for k in extra:
+                        if fault := _fault(value, x[k], root):
+                            return fault[0], (k, *fault[1])
+                    continue
+                # the fault is the object's, not the surplus key's
+                ok = not extra
+            else:  # "$ref" is followed below; the rest add no check
+                continue
+            if not ok:
+                return keyword, ()
+        if "$ref" not in schema:
+            return None
+        # the target is looked up now, so a schema may refer to itself; it
+        # is checked in this frame, so a recursive schema nests less deeply
+        pointer, schema = schema["$ref"], root
         for part in pointer[1:].split("/")[1:]:
-            target = target[part.replace("~1", "/").replace("~0", "~")]
-        refs[pointer] = _placed(*_compile(target, root, refs))
-    return lambda x: refs[pointer](x)
+            schema = schema[part.replace("~1", "/").replace("~0", "~")]
+
+
+def _refuse_uncovered(schema) -> None:
+    """Raise ``ValueError`` unless ``_fault`` covers ``schema`` and each
+    subschema in it, so no keyword is ever silently ignored."""
+    if isinstance(schema, bool):
+        return
+    if unknown := schema.keys() - _KEYWORDS:
+        raise ValueError(f"no check for schema keywords {sorted(unknown)}")
+    values = list(schema.get("enum", []))
+    if "const" in schema:
+        values.append(schema["const"])
+    for value in values:
+        if value is not None and not isinstance(value, (str, int, float)):
+            raise ValueError(f"no check for const or enum value {value!r}")
+    if not schema.get("$ref", "#").startswith("#"):
+        raise ValueError(f"no check for $ref {schema['$ref']!r} outside the schema")
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    subschemas += [schema[k] for k in ("items", "additionalProperties") if k in schema]
+    for sub in subschemas:
+        _refuse_uncovered(sub)
 
 
 def rational(x: Fraction) -> dict:
@@ -521,8 +388,6 @@ def convergence_to_json(rep) -> dict:
 
 
 def atlas_to_json(census: dict[bytes, int], r: int) -> dict:
-    from .balls import decode_code
-
     entries = []
     for code, count in sorted(census.items()):
         ball = decode_code(code)
@@ -541,8 +406,6 @@ class ManifestWriter:
     including every file the run reads or writes through it."""
 
     def __init__(self, subcommand: str, argv: list[str]):
-        from . import __version__
-
         self.doc = _document(
             "run_manifest",
             tool_version=__version__,

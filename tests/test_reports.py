@@ -16,7 +16,7 @@ from importlib import resources
 import qhdecomp
 from qhdecomp import reports
 from qhdecomp.coloring import color_edges
-from qhdecomp.errors import FormatError
+from qhdecomp.errors import FormatError, InfeasibleSpecError
 from qhdecomp.decomposer import Partition, decompose, splitting_diagnostics, verify_partition
 from qhdecomp.families import FamilySpec, generate, sequence
 from qhdecomp.graph import edit_distance, to_edge_list
@@ -33,9 +33,21 @@ _KINDS = sorted(f.name.removesuffix(".schema.json")
 
 def _reference(kind):
     """The jsonschema validator of one shipped schema, built here so the
-    compiled checker is compared with jsonschema itself."""
+    schema walk is compared with jsonschema itself."""
     schema = reports._schema(kind)
     return validator_for(schema)(schema)
+
+
+def _fault(kind, doc):
+    """The schema walk's fault for ``doc`` judged as a ``kind`` document:
+    ``None`` when it passes, else the keyword and path where it fails."""
+    schema = reports._schema(kind)
+    return reports._fault(schema, doc, schema)
+
+
+def _check(kind):
+    """The schema walk of one kind as a predicate."""
+    return lambda doc: _fault(kind, doc) is None
 
 
 def _documents():
@@ -81,16 +93,16 @@ def _broken(doc):
 
 
 def _assert_names_an_error(kind, bad, errors):
-    """The checker's fault for a rejected document is the path and keyword
+    """The walk's fault for a rejected document is the path and keyword
     of one of jsonschema's ``errors`` for it, and ``validate_document``'s
     message names that path."""
-    fault = reports._checker(kind)(bad)
+    keyword, path = _fault(kind, bad)
     paths = {(tuple(e.absolute_path), e.validator): e.json_path for e in errors}
-    assert (fault.path, fault.keyword) in paths, (bad, fault.path, fault.keyword)
+    assert (path, keyword) in paths, (bad, path, keyword)
     with pytest.raises(FormatError) as got:
         reports.validate_document(bad)
-    where = paths[fault.path, fault.keyword]
-    assert str(got.value) == f"invalid {kind} document: {where} fails {fault.keyword!r}"
+    where = paths[path, keyword]
+    assert str(got.value) == f"invalid {kind} document: {where} fails {keyword!r}"
 
 
 def test_validation_errors_match_jsonschema_validate():
@@ -111,9 +123,9 @@ def test_validation_errors_match_jsonschema_validate():
 def test_validator_built_once_per_kind():
     doc = next(_documents())
     reports.validate_document(doc)
-    first = reports._check("stat_vector")
+    first = reports._schema("stat_vector")
     reports.validate_document(doc)
-    assert reports._check("stat_vector") is first
+    assert reports._schema("stat_vector") is first
     with pytest.raises(FormatError, match="unknown document kind 'no_such_kind'"):
         reports.validate_document({"kind": "no_such_kind"})
 
@@ -182,7 +194,7 @@ def test_shipped_schema_is_valid(kind):
 
 
 def test_accept_path_leaves_jsonschema_unimported(tmp_path):
-    # the compiled checker is the only validator: accepting a document,
+    # the schema walk is the only validator: accepting a document,
     # rejecting one and running the CLI never import jsonschema
     src = os.path.dirname(os.path.dirname(os.path.abspath(qhdecomp.__file__)))
     code = "\n".join([
@@ -241,6 +253,34 @@ def test_no_unused_imports_in_src():
                 if name not in read:
                     unused.append(f"{source.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_no_unread_private_names_in_src():
+    # a module-level private name that no module of src reads outside its
+    # own definition is dead code, or lives on only for the tests
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(Path(qhdecomp.__file__).parent.glob("*.py"))}
+    reads, defined = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            inner = list(ast.walk(node))
+            reads.append((node, {n.id for n in inner if isinstance(n, ast.Name)
+                                 and isinstance(n.ctx, ast.Load)}
+                          | {n.attr for n in inner if isinstance(n, ast.Attribute)}
+                          | {a.name for n in inner if isinstance(n, ast.ImportFrom)
+                             for a in n.names}))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(f"{module}:{node.lineno} {name}", name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    unread = [where for where, name, node in defined
+              if not any(name in names for reader, names in reads if reader is not node)]
+    assert unread == []
 
 
 def test_unknown_kinds_are_refused_before_any_schema_is_read(tmp_path):
@@ -339,7 +379,7 @@ def test_compiled_checker_agrees_with_jsonschema(tmp_path):
     references = {kind: _reference(kind) for kind in _KINDS}
     for doc in corpus:
         validator = references[doc["kind"]]
-        check = reports._check(doc["kind"])
+        check = _check(doc["kind"])
         assert check(doc) and validator.is_valid(doc)
         for bad in _broken(doc):
             assert check(bad) == validator.is_valid(bad), bad
@@ -353,7 +393,7 @@ def test_compiled_checker_agrees_with_jsonschema(tmp_path):
         # judged as the kind it was made from, whatever "kind" now holds
         kind, doc = mutant
         want = references[kind].is_valid(doc)
-        assert reports._check(kind)(doc) == want, (kind, doc)
+        assert _check(kind)(doc) == want, (kind, doc)
         outcomes.append(want)
 
     agree()
@@ -378,18 +418,30 @@ def test_rejections_name_one_of_jsonschemas_errors(tmp_path):
     assert len(rejected) > 10
 
 
-def test_compiler_refuses_uncovered_keywords():
-    with pytest.raises(ValueError, match="maxLength"):
-        reports._compile_schema({"type": "string", "maxLength": 3})
-    with pytest.raises(ValueError, match="uniqueItems"):
-        reports._compile_schema({"properties": {"a": {"items": {"uniqueItems": True}}}})
-    with pytest.raises(ValueError, match="const or enum value"):
-        reports._compile_schema({"const": [1, 2]})
+def test_schema_loader_refuses_uncovered_keywords(monkeypatch):
+    # a keyword the walk does not check would be ignored, so loading the
+    # schema refuses it, wherever in the schema it sits
+    for schema, message in (
+        ({"type": "string", "maxLength": 3}, "maxLength"),
+        ({"properties": {"a": {"items": {"uniqueItems": True}}}}, "uniqueItems"),
+        ({"$ref": "#/$defs/a", "$defs": {"a": {"type": "object", "maxProperties": 2}}},
+         "maxProperties"),
+        ({"additionalProperties": {"format": "date"}}, "format"),
+        ({"$ref": "other.json#/x"}, "outside the schema"),
+        ({"const": [1, 2]}, "const or enum value"),
+        ({"enum": ["a", [1]]}, "const or enum value"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            reports._refuse_uncovered(schema)
+    # every shipped schema goes through that check when it is loaded
+    seen = []
+    monkeypatch.setattr(reports, "_refuse_uncovered", seen.append)
+    assert reports._schema.__wrapped__("family_specs") == seen[0] == reports._schema("family_specs")
 
 
 def test_recursive_ref_checks_nested_specs():
     validator = _reference("family_specs")
-    check = reports._check("family_specs")
+    check = _check("family_specs")
     inner = {"kind": "cycle", "params": [5]}
     union = {"kind": "disjoint_union",
              "parts": [{"kind": "bridged_union", "bridges": 1, "parts": [inner, inner]}]}
@@ -403,6 +455,30 @@ def test_recursive_ref_checks_nested_specs():
         assert not check(bad) and not validator.is_valid(bad), spoil
         with pytest.raises(FormatError, match="invalid family_specs document"):
             reports.validate_document(bad)
+
+
+def test_family_specs_validate_as_deep_as_generate_builds():
+    # a spec that generate builds from a bare spec file must also pass
+    # inside a family_specs document; the check used to give up first
+    def nested(depth):
+        spec = FamilySpec("cycle", (3,))
+        for _ in range(depth):
+            spec = FamilySpec("disjoint_union", parts=(spec,))
+        return spec
+
+    built, refused = 1, 5000  # generate builds `built` levels, not `refused`
+    generate(nested(built))
+    with pytest.raises(InfeasibleSpecError):
+        generate(nested(refused))
+    while refused - built > 1:
+        depth = (built + refused) // 2
+        try:
+            generate(nested(depth))
+            built = depth
+        except InfeasibleSpecError:
+            refused = depth
+    doc = {"format_version": 1, "kind": "family_specs", "specs": [nested(built).to_json()]}
+    assert reports.validate_document(doc) is doc
 
 
 def test_stat_vector_reader_takes_integral_floats():
