@@ -209,13 +209,10 @@ def main(argv=None) -> int:
 
 def _cmd_generate(args, mw: reports.ManifestWriter) -> int:
     if args.spec:
-        doc = _read_json(mw, args.spec)
-        if isinstance(doc, dict) and doc.get("kind") == "family_specs":
-            specs = reports.validate_document(doc)["specs"]
-            if not specs:
-                raise FormatError(f"{args.spec} lists no spec")
-            doc = specs[0]
-        spec = families.FamilySpec.from_json(doc)
+        specs = reports.family_specs_from_json(_read_json(mw, args.spec))
+        if not specs:
+            raise FormatError(f"{args.spec} lists no spec")
+        spec = specs[0]
     else:
         if not args.kind:
             raise QhError("either --spec or --kind is required")
@@ -344,8 +341,7 @@ def _cmd_split_diagnostics(args, mw: reports.ManifestWriter) -> int:
 
 
 def _cmd_convergence(args, mw: reports.ManifestWriter) -> int:
-    doc = reports.document_of_kind(_read_json(mw, args.specs), "family_specs")
-    specs = [families.FamilySpec.from_json(d) for d in doc["specs"]]
+    specs = reports.family_specs_from_json(_read_json(mw, args.specs))
     rep = families.sequence(specs, args.radius)
     mw.write(args.out, reports.convergence_to_json(rep))
     print(f"wrote {args.out}: {len(specs)} specs, "

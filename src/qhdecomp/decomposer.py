@@ -20,8 +20,6 @@ from .graph import Graph, delete_edges, spanned_subgraph
 from .quasihom import VIOLATED, QuasihomParams, QuasihomVerdict, check_exact, falsify_heuristic
 from .stats import StatVector, d_s, mixture, stat_vector, tv_numerator
 
-SMOOTHING_MOVE_FACTOR = 10
-
 THRESHOLD_THEOREM = "theorem"
 THRESHOLD_PROOF = "proof"
 
@@ -176,19 +174,18 @@ def _agglomerate(g, codes, classes, K_max):
     return [clusters[k] for k in live]
 
 
-def _smooth(g: Graph, assignment: list[int]) -> int:
-    """Move vertices whose strict neighbor majority lies in another part.
+def _smooth(g: Graph, assignment: list[int]) -> None:
+    """Move vertices whose strict neighbor majority lies in another part,
+    in ascending-id sweeps until a sweep moves none.
 
-    Ascending-id sweeps; capped at SMOOTHING_MOVE_FACTOR * n moves.
+    A move takes a vertex's cut edges from deg - cnt_old to deg - cnt_new,
+    and cnt_old < deg / 2 < cnt_new, so every move shrinks the cut and the
+    sweeps end after at most |E| moves.
     """
-    cap = SMOOTHING_MOVE_FACTOR * g.n
-    moves = 0
     changed = True
-    while changed and moves < cap:
+    while changed:
         changed = False
         for v in range(g.n):
-            if moves >= cap:
-                break
             deg = g.degree(v)
             if deg == 0:
                 continue
@@ -201,9 +198,7 @@ def _smooth(g: Graph, assignment: list[int]) -> int:
             )
             if target is not None and target != assignment[v]:
                 assignment[v] = target
-                moves += 1
                 changed = True
-    return moves
 
 
 def absorb_small_parts(

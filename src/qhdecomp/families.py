@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .errors import FormatError, InfeasibleSpecError, RetryExhaustedError
+from .errors import InfeasibleSpecError, RetryExhaustedError
 from .graph import Graph, from_adjacency, validate
 from .stats import StatVector, d_s, stat_vector
 
@@ -39,6 +39,19 @@ class FamilySpec:
                 f"{self.kind} takes {arity} params, got {len(self.params)}"
             )
 
+    def __eq__(self, other):
+        # pairs of parts wait on a stack, so nesting depth costs no frames
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if ((a.kind, a.params, a.bridges, a.seed, len(a.parts))
+                    != (b.kind, b.params, b.bridges, b.seed, len(b.parts))):
+                return False
+            stack += zip(a.parts, b.parts)
+        return True
+
     def to_json(self) -> dict:
         doc: dict = {"kind": self.kind}
         if self.params:
@@ -50,28 +63,6 @@ class FamilySpec:
         if self.kind in ("random_regular", "bridged_union"):
             doc["seed"] = self.seed
         return doc
-
-    @staticmethod
-    def from_json(doc: dict) -> "FamilySpec":
-        if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
-            raise FormatError(f"family spec without a 'kind' string: {doc!r}")
-        if unknown := doc.keys() - {"kind", "params", "parts", "bridges", "seed"}:
-            raise FormatError(f"unknown family spec keys {sorted(unknown)}")
-        params, parts = doc.get("params", []), doc.get("parts", [])
-        if not (isinstance(params, list) and isinstance(parts, list)):
-            raise FormatError(f"malformed family spec {doc!r}")
-        # integers as the schemas read them: 6.0 is 6, and true is not 1
-        numbers = [*params, doc.get("bridges", 0), doc.get("seed", 0)]
-        if not all(type(x) is int or type(x) is float and x.is_integer() for x in numbers):
-            raise FormatError(f"malformed family spec {doc!r}")
-        *params, bridges, seed = map(int, numbers)
-        if bridges < 0:
-            raise FormatError(f"family spec with negative bridges {bridges}")
-        try:
-            parts = tuple(FamilySpec.from_json(p) for p in parts)
-        except RecursionError:
-            raise FormatError("family spec nested too deeply to read") from None
-        return FamilySpec(doc["kind"], tuple(params), parts, bridges, seed)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Schema draft 2020-12 validator accepts, and on a rejection returns the path
 and the schema keyword where it failed, from which ``validate_document``
 words the error.  A schema is checked once when it is loaded, so it uses no
 keyword the walk does not cover.  The tests compare the walk with a
-reference validator.  The ``*_to_json`` writers only build documents.
-Rationals are serialized as integer num/den pairs plus a convenience
-decimal string; the decimal is never read back.  A run manifest records
-every file the run reads or writes.
+reference validator; family specs, bare or listed, pass the same walk once.
+The ``*_to_json`` writers only build documents.  Rationals are serialized
+as integer num/den pairs plus a convenience decimal string; the decimal is
+never read back.  A run manifest records every file the run reads or writes.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .balls import decode_code
 from .coloring import EdgeColoring, VertexColoring
 from .decomposer import Partition, PartitionVerdict, SplittingReport
 from .errors import FormatError
+from .families import FamilySpec
 from .quasihom import QuasihomParams, QuasihomVerdict, WitnessStats
 from .stats import StatVector, integer_counts
 
@@ -62,17 +63,24 @@ def validate_document(doc: dict) -> dict:
     if kind not in _kinds():
         raise FormatError(f"unknown document kind {kind!r}")
     schema = _schema(kind)
+    _refuse_fault(f"{kind} document", schema, doc, schema)
+    return doc
+
+
+def _refuse_fault(what: str, schema, x, root: dict) -> None:
+    """Raise ``FormatError`` if ``x`` fails ``schema``, a subschema of
+    ``root``, naming the JSONPath from ``x`` and the keyword where it fails."""
     try:
-        fault = _fault(schema, doc, schema)
+        fault = _fault(schema, x, root)
     except RecursionError:
-        raise FormatError(f"{kind} document nests values too deeply to check") from None
+        raise FormatError(f"{what} nested too deeply to check") from None
     if fault is None:
-        return doc
+        return
     keyword, path = fault
     where = "$" + "".join(
         f".{step}" if isinstance(step, str) and step.isidentifier()
         else f"[{step!r}]" for step in path)
-    raise FormatError(f"invalid {kind} document: {where} fails {keyword!r}")
+    raise FormatError(f"invalid {what}: {where} fails {keyword!r}")
 
 
 def document_of_kind(doc: dict, kind: str) -> dict:
@@ -243,6 +251,23 @@ def stat_vector_from_json(doc: dict) -> StatVector:
         radii.append(dist)
     n = doc.get("n")
     return StatVector(R, tuple(radii), n if n is None else int(n))
+
+
+def family_specs_from_json(doc) -> list[FamilySpec]:
+    """The specs a ``family_specs`` document lists or, for any other JSON
+    value, the one bare spec it is, checked as a listed spec is."""
+    if isinstance(doc, dict) and doc.get("kind") == "family_specs":
+        return [_family_spec(spec) for spec in validate_document(doc)["specs"]]
+    schema = _schema("family_specs")
+    _refuse_fault("family spec", schema["$defs"]["family_spec"], doc, schema)
+    return [_family_spec(doc)]
+
+
+def _family_spec(doc: dict) -> FamilySpec:
+    # the schema has checked every value, and it counts 6.0 as an integer
+    return FamilySpec(doc["kind"], tuple(map(int, doc.get("params", ()))),
+                      tuple(map(_family_spec, doc.get("parts", ()))),
+                      int(doc.get("bridges", 0)), int(doc.get("seed", 0)))
 
 
 def distance_to_json(value: Fraction, tail: Fraction) -> dict:

@@ -17,6 +17,8 @@ for canonicalization; it calls ``balls.canonical_code`` itself, since only
 extraction and caching differ between the two.  ``canonical_code`` and
 ``refine`` are the canonicalizer that ``balls.canonical_code`` must reproduce
 byte for byte, with every refinement round recomputing every cell.
+``smooth_capped`` is the majority smoothing with its old cap of ``10 * n``
+moves, whose assignment the uncapped ``decomposer._smooth`` must reproduce.
 """
 
 from __future__ import annotations
@@ -298,6 +300,39 @@ def agglomerate(g, codes, classes, K_max):
         del clusters[j]
         del envs[j]
     return clusters
+
+
+SMOOTHING_MOVE_FACTOR = 10
+
+
+def smooth_capped(g: Graph, assignment: list[int]) -> int:
+    """Move vertices whose strict neighbor majority lies in another part.
+
+    Ascending-id sweeps; capped at SMOOTHING_MOVE_FACTOR * n moves.
+    """
+    cap = SMOOTHING_MOVE_FACTOR * g.n
+    moves = 0
+    changed = True
+    while changed and moves < cap:
+        changed = False
+        for v in range(g.n):
+            if moves >= cap:
+                break
+            deg = g.degree(v)
+            if deg == 0:
+                continue
+            votes: dict[int, int] = {}
+            for w in g.adjacency[v]:
+                votes[assignment[w]] = votes.get(assignment[w], 0) + 1
+            target = min(
+                (part for part, cnt in votes.items() if 2 * cnt > deg),
+                default=None,
+            )
+            if target is not None and target != assignment[v]:
+                assignment[v] = target
+                moves += 1
+                changed = True
+    return moves
 
 
 def total_variation(p: dict[bytes, Fraction], q: dict[bytes, Fraction]) -> Fraction:

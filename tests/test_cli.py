@@ -392,7 +392,7 @@ def test_manifest_lists_files_and_replays(artifact_inputs, tmp_path, monkeypatch
     assert len(recorded) == len(manifest["parameters"]) + len(manifest["seeds"])
     if manifest["subcommand"] == "generate":
         # in place of the --spec path, the spec the run resolved
-        FamilySpec.from_json(recorded["spec"])
+        reports.family_specs_from_json(recorded["spec"])
         options["spec"] = recorded["spec"]
     assert recorded == options
     first = {out: (tmp_path / out).read_bytes() for out in outputs}
@@ -648,14 +648,15 @@ def test_empty_graph_exits_cleanly(workdir, case):
 
 # argv, expected exit code, a word the error message must name
 BAD_ARGV = {
-    "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1, "kind"),
+    "spec_without_kind": (["generate", "--spec", "nokind.json", "--out", "g.el"], 1,
+                          "'required'"),
     "cycle_arity": (["generate", "--kind", "cycle", "--params", "3,4", "--out", "g.el"],
                     1, "params"),
     # `true` used to be written as the vertex count `True`
     "spec_bool_param": (["generate", "--spec", "bool.json", "--out", "g.el"], 1, "family spec"),
     # used to reach rng.sample and exit with its untyped message
     "spec_negative_bridges": (["generate", "--spec", "bridges.json", "--out", "g.el"],
-                              1, "negative bridges"),
+                              1, "$.bridges"),
     # --bridges never changed a run, and union kinds need parts, which only
     # --spec supplies
     "generate_bridges": (["generate", "--kind", "cycle", "--params", "7", "--bridges", "3",

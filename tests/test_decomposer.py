@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qhdecomp.decomposer import (
     MODE_EXACT,
     _agglomerate,
+    _smooth,
     Partition,
     THRESHOLD_PROOF,
     THRESHOLD_THEOREM,
@@ -21,8 +23,8 @@ from qhdecomp.families import FamilySpec, generate, generate_detailed
 from qhdecomp.graph import delete_edges, from_adjacency
 from qhdecomp.stats import d_s, stability_ds_bound, stat_vector
 
-from conftest import cycle, torus
-from oracles import agglomerate
+from conftest import cycle, path, random_bounded_graph, torus
+from oracles import agglomerate, smooth_capped
 
 
 def _vertex_codes(g, M):
@@ -99,6 +101,33 @@ def test_mixed_part_violation_shows_only_at_radius_three():
     at3 = verify_partition(g, p, delta, lam, eps, 3, budget=1500, seed=0)
     assert at2.passed and not at3.passed
     assert [pc.quasihom.status for pc in at3.parts if pc.size == 182] == ["violated"]
+
+
+def test_smooth_matches_capped_reference():
+    # every move shrinks the cut, so the sweeps end within |E| moves; these
+    # graphs have |E| <= 2n, so the old cap of 10n moves never bound
+    rng = random.Random(0)
+    cases = [(path(40), [1 + v % 2 for v in range(40)])]
+    for _ in range(40):
+        g = random_bounded_graph(rng.randrange(1, 60), rng.randrange(1, 5), rng)
+        cases.append((g, [rng.randrange(4) for _ in range(g.n)]))
+    for seed in range(4):
+        g = generate(FamilySpec("random_regular", (40, 3 + seed % 2), seed=seed))
+        cases.append((g, [rng.randrange(3) for _ in range(g.n)]))
+
+    def cut(g, assignment):
+        return sum(assignment[u] != assignment[v] for u, v in g.edges())
+
+    moved = 0
+    for g, start in cases:
+        want, got = list(start), list(start)
+        smooth_capped(g, want)
+        _smooth(g, got)
+        assert got == want
+        changed = sum(a != b for a, b in zip(start, got))
+        assert cut(g, start) - cut(g, got) >= changed
+        moved += changed
+    assert moved > 100
 
 
 def test_decompose_torus_single_part():

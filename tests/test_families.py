@@ -1,8 +1,9 @@
 import pytest
 
 from qhdecomp.errors import FormatError, InfeasibleSpecError
-from qhdecomp.families import FamilySpec, generate, generate_detailed, sequence
+from qhdecomp.families import _KINDS, FamilySpec, generate, generate_detailed, sequence
 from qhdecomp.graph import to_edge_list
+from qhdecomp.reports import _schema, family_specs_from_json
 from qhdecomp.stats import d_s, stat_vector
 
 
@@ -87,18 +88,18 @@ def test_infeasible_specs():
                 {"kind": "bridged_union", "parts": [{"kind": "cycle", "params": [3]}] * 2,
                  "bridges": -1}):
         with pytest.raises(FormatError):
-            FamilySpec.from_json(doc)
+            family_specs_from_json(doc)
     # nesting past the interpreter's recursion limit is a typed refusal
     doc, deep = {"kind": "cycle", "params": [3]}, FamilySpec("cycle", (3,))
     for _ in range(3000):
         doc = {"kind": "disjoint_union", "parts": [doc]}
         deep = FamilySpec("disjoint_union", parts=(deep,))
     with pytest.raises(FormatError, match="nested too deeply"):
-        FamilySpec.from_json(doc)
+        family_specs_from_json(doc)
     with pytest.raises(InfeasibleSpecError, match="nested too deeply"):
         generate(deep)
     # an integral float is an integer, as the family_specs schema reads it
-    six = FamilySpec.from_json({"kind": "cycle", "params": [6.0]})
+    (six,) = family_specs_from_json({"kind": "cycle", "params": [6.0]})
     assert six == FamilySpec("cycle", (6,)) and type(six.params[0]) is int
 
 
@@ -148,4 +149,36 @@ def test_spec_json_round_trip():
         bridges=2,
         seed=7,
     )
-    assert FamilySpec.from_json(spec.to_json()) == spec
+    assert family_specs_from_json(spec.to_json()) == [spec]
+
+
+def test_kinds_match_the_schema_enum():
+    # a kind the family_spec enum lacks is refused in every spec file
+    enum = _schema("family_specs")["$defs"]["family_spec"]["properties"]["kind"]["enum"]
+    assert sorted(_KINDS) == sorted(enum)
+
+
+def _nested(depth, params=(3,)):
+    spec = FamilySpec("cycle", params)
+    for _ in range(depth):
+        spec = FamilySpec("disjoint_union", parts=(spec,))
+    return spec
+
+
+def test_specs_as_deep_as_generate_builds_compare():
+    # == compared fields one Python frame per level and ended in a
+    # RecursionError at 250 levels, short of what generate builds
+    built, refused = 1, 5000  # generate builds `built` levels, not `refused`
+    generate(_nested(built))
+    with pytest.raises(InfeasibleSpecError):
+        generate(_nested(refused))
+    while refused - built > 1:
+        depth = (built + refused) // 2
+        try:
+            generate(_nested(depth))
+            built = depth
+        except InfeasibleSpecError:
+            refused = depth
+    a, b = _nested(built), _nested(built)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _nested(built, (4,))

@@ -2,6 +2,7 @@ import ast
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -230,11 +231,12 @@ def test_no_runtime_dependency():
     assert "jsonschema>=4.0" in project["optional-dependencies"]["test"]
 
 
-def test_no_unused_imports_in_src():
-    # an imported name its module never reads is left over from a deletion;
-    # a "# noqa: F401" import is kept on purpose, and __all__ re-exports
+def _unused_imports(directory):
+    """The imports of the modules in ``directory`` that name something
+    their module never reads: left over from a deletion.  A
+    "# noqa: F401" import is kept on purpose, and __all__ re-exports."""
     unused = []
-    for source in sorted(Path(qhdecomp.__file__).parent.glob("*.py")):
+    for source in sorted(Path(directory).glob("*.py")):
         text = source.read_text()
         tree = ast.parse(text)
         lines = text.splitlines()
@@ -252,7 +254,16 @@ def test_no_unused_imports_in_src():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
                     unused.append(f"{source.name}:{node.lineno} {name}")
-    assert unused == []
+    return unused
+
+
+def test_no_unused_imports_in_src():
+    assert _unused_imports(Path(qhdecomp.__file__).parent) == []
+
+
+def test_no_unused_imports_in_tests_and_scripts():
+    root = Path(__file__).parents[1]
+    assert _unused_imports(root / "tests") == _unused_imports(root / "scripts") == []
 
 
 def test_no_unread_private_names_in_src():
@@ -416,6 +427,93 @@ def test_rejections_name_one_of_jsonschemas_errors(tmp_path):
 
     names_an_error()
     assert len(rejected) > 10
+
+
+# valid nested specs, and what a spec mutant puts in place of a value or
+# under a key: wrong types, booleans, integral and non-integral floats,
+# negative numbers, unknown kinds and keys, and parts that are no spec
+_SPECS = [FamilySpec("bridged_union", bridges=2, seed=3, parts=(
+              FamilySpec("cycle", (5,)), FamilySpec("random_regular", (8, 3), seed=2))),
+          FamilySpec("disjoint_union", parts=(
+              FamilySpec("d_ary_tree", (2, 2)),
+              FamilySpec("disjoint_union", parts=(FamilySpec("grid_torus", (3, 4)),
+                                                  FamilySpec("path", (3,))))))]
+_SPEC_SWAPS = [None, True, False, -1, 0, 4, 4.0, 2.5, "", "cycle", "wheel", [], [4], [4.0],
+               [True], {}, {"kind": "cycle", "params": [4]}, {"params": [4]}, [{"kind": "path"}]]
+_SPEC_KEYS = ["surplus", "bridge", "kind", "params", "parts", "bridges", "seed"]
+
+
+@st.composite
+def _spec_mutants(draw):
+    """A valid nested spec with one or two values swapped, keys deleted
+    or keys added; the spec itself may be swapped for another value."""
+    box = [draw(st.sampled_from(_SPECS)).to_json()]
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(box))[1:]))
+        parent = box
+        for step in path[:-1]:
+            parent = parent[step]
+        op = draw(st.sampled_from(["swap", "delete", "add"]))
+        if op == "delete" and isinstance(parent, dict):
+            del parent[path[-1]]
+        elif op == "add" and isinstance(parent[path[-1]], dict):
+            value = draw(st.sampled_from(_SPEC_SWAPS))
+            parent[path[-1]][draw(st.sampled_from(_SPEC_KEYS))] = copy.deepcopy(value)
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_SPEC_SWAPS)))
+    return box[0]
+
+
+def _built(spec: dict) -> FamilySpec:
+    """The spec a checked JSON spec describes, its integers read by value."""
+    return FamilySpec(spec["kind"], tuple(int(x) for x in spec.get("params", [])),
+                      tuple(_built(p) for p in spec.get("parts", [])),
+                      int(spec.get("bridges", 0)), int(spec.get("seed", 0)))
+
+
+def test_spec_reader_accepts_what_jsonschema_accepts():
+    root = reports._schema("family_specs")
+    schema = {"$schema": root["$schema"], "$defs": root["$defs"],
+              "$ref": "#/$defs/family_spec"}
+    reference = validator_for(schema)(schema)
+    outcomes = []
+
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    @given(_spec_mutants())
+    def agree(spec):
+        doc = {"format_version": 1, "kind": "family_specs", "specs": [spec]}
+        errors = list(reference.iter_errors(spec))
+        outcomes.append(not errors)
+        if not errors:
+            try:
+                want = [_built(spec)]
+            except InfeasibleSpecError as exc:  # arity, which the schema leaves open
+                for read in (spec, doc):
+                    with pytest.raises(InfeasibleSpecError) as got:
+                        reports.family_specs_from_json(read)
+                    assert str(got.value) == str(exc)
+                return
+            got = reports.family_specs_from_json(spec)
+            assert got == want == reports.family_specs_from_json(doc), spec
+            while got:  # every integer an int, at every level
+                part = got.pop()
+                assert all(type(x) is int for x in (*part.params, part.bridges, part.seed))
+                got += part.parts
+            return
+        with pytest.raises(FormatError) as bare:
+            reports.family_specs_from_json(spec)
+        found = re.fullmatch(r"invalid family spec: (\S+) fails '(\w+)'", str(bare.value))
+        assert found, str(bare.value)
+        where, keyword = found.groups()
+        assert (where, keyword) in {(e.json_path, e.validator) for e in errors}, spec
+        # inside a document, the same fault in the document's words
+        with pytest.raises(FormatError) as listed:
+            reports.family_specs_from_json(doc)
+        assert str(listed.value) == (f"invalid family_specs document: $.specs[0]{where[1:]} "
+                                     f"fails {keyword!r}")
+
+    agree()
+    assert outcomes.count(True) > 40 and outcomes.count(False) > 40
 
 
 def test_schema_loader_refuses_uncovered_keywords(monkeypatch):
